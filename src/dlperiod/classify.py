@@ -265,10 +265,10 @@ def classification_scan(
         nus = _decreasing_vectors(n, nu_bound)
         for t in range(1, t_max + 1):
             spec = GroupSpec(n=n, t=t)
+            ccs = [cochar(*nu_tuple) for nu_tuple in iproduct(nus, repeat=t)]
             for ws in iproduct(group, repeat=t):
                 words = tuple(word_names(rs, reduced_word(w)) for w in ws)
-                for nu_tuple in iproduct(nus, repeat=t):
-                    cc = cochar(*nu_tuple)
+                for cc in ccs:
                     verdict = theorem_verdict(spec, ws, cc)
                     records.append(
                         ScanRecord(n=n, t=t, q=q, words=words, nu=cc, verdict=verdict)

@@ -14,16 +14,19 @@ commuting.  These are the reachability targets used by the scan drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import CapacityError, UsageError
-from .linalg import Matrix, matmul
 from .rootsys import RootSystem, build_root_system
 from .weyl import (
     DEFAULT_GROUP_CAP,
+    Perm,
     WeylElem,
     Word,
+    checked_order,
+    compose,
     coxeter_length,
     enumerate_group,
     from_word,
@@ -57,23 +60,25 @@ GenMap = Union[None, Dict[int, int], Callable[[WeylElem], WeylElem]]
 class GroupTable:
     """Dense multiplication tables for a small group, indexed by ints.
 
-    Element 0 is the identity; `elems[i].word` is a geodesic word.  Built
-    lazily per root system and cached, since every twisted-class walk in a
-    given group shares the same tables.
+    Element 0 is the identity; `elems[i].word` is a geodesic word; `index`
+    maps root permutations to element indices.  Built lazily per root system
+    and cached, since every twisted-class walk in a given group shares the
+    same tables.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
         self.elems: List[WeylElem] = enumerate_group(rs, cap)
-        self.index: Dict[Matrix, int] = {w.matrix: i for i, w in enumerate(self.elems)}
-        gens = generators(rs)
+        self.index: Dict[Perm, int] = {w.perm: i for i, w in enumerate(self.elems)}
+        gens = rs.gen_perms
         self.ngens = len(gens)
         self.length: List[int] = [coxeter_length(w) for w in self.elems]
         self.right: List[List[int]] = []
         self.left: List[List[int]] = []
         for w in self.elems:
-            self.right.append([self.index[matmul(w.matrix, g.matrix)] for g in gens])
-            self.left.append([self.index[matmul(g.matrix, w.matrix)] for g in gens])
+            p = w.perm
+            self.right.append([self.index[compose(p, g)] for g in gens])
+            self.left.append([self.index[compose(g, p)] for g in gens])
 
     def conj_step(self, i: int, g: int, fperm: Optional[Tuple[int, ...]]) -> int:
         """Index of s_g * elems[i] * F(s_g)."""
@@ -81,16 +86,15 @@ class GroupTable:
         return self.left[self.right[i][gg]][g]
 
 
-_TABLE_CACHE: Dict[Tuple[str, int, str], GroupTable] = {}
-
-
 def group_table(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
-    key = (rs.kind, rs.rank, rs.profile)
-    tbl = _TABLE_CACHE.get(key)
-    if tbl is None:
-        tbl = GroupTable(rs, cap)
-        _TABLE_CACHE[key] = tbl
-    return tbl
+    """The cached table of rs; raises CapacityError when the group exceeds
+    `cap`, whether or not the table is cached already."""
+    return _cached_table(rs, checked_order(rs, cap))
+
+
+@lru_cache(maxsize=None)
+def _cached_table(rs: RootSystem, order: int) -> GroupTable:
+    return GroupTable(rs, order)
 
 
 def _position_of(rs: RootSystem, key) -> int:
@@ -120,12 +124,12 @@ def _normalize_f(rs: RootSystem, F: GenMap) -> Optional[Tuple[int, ...]]:
         perm = tuple(mapped.get(g, g) for g in range(len(gens)))
     else:
         images = []
-        by_matrix = {g.matrix: i for i, g in enumerate(gens)}
+        by_perm = {g.perm: i for i, g in enumerate(gens)}
         for g in gens:
             img = F(g)
-            if not isinstance(img, WeylElem) or img.matrix not in by_matrix:
+            if not isinstance(img, WeylElem) or img.perm not in by_perm:
                 raise UsageError("F must map generators to generators")
-            images.append(by_matrix[img.matrix])
+            images.append(by_perm[img.perm])
         perm = tuple(images)
     if sorted(perm) != list(range(len(gens))):
         raise UsageError(f"F is not a permutation of the generators: {perm}")
@@ -198,7 +202,7 @@ def reduce_to_minimal(
     fperm = _normalize_f(w.rs, F)
     tbl = group_table(w.rs, cap)
     try:
-        start = tbl.index[w.matrix]
+        start = tbl.index[w.perm]
     except KeyError:
         raise UsageError("element does not belong to the table's group") from None
     order, parents = _closure_bfs(tbl, start, fperm, monotone=True)
@@ -223,7 +227,7 @@ def shift_closure(
     """All elements reachable from w by nonincreasing shift steps (BFS order)."""
     fperm = _normalize_f(w.rs, F)
     tbl = group_table(w.rs, cap)
-    order, _ = _closure_bfs(tbl, tbl.index[w.matrix], fperm, monotone=True)
+    order, _ = _closure_bfs(tbl, tbl.index[w.perm], fperm, monotone=True)
     return [tbl.elems[i] for i in order]
 
 
@@ -233,7 +237,7 @@ def twisted_class(
     """The whole twisted conjugacy class of w (BFS order, no length filter)."""
     fperm = _normalize_f(w.rs, F)
     tbl = group_table(w.rs, cap)
-    order, _ = _closure_bfs(tbl, tbl.index[w.matrix], fperm, monotone=False)
+    order, _ = _closure_bfs(tbl, tbl.index[w.perm], fperm, monotone=False)
     return [tbl.elems[i] for i in order]
 
 
@@ -370,7 +374,7 @@ def gp_element(datum: GPDatum) -> WeylElem:
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             a, b = blocks[i], blocks[j]
-            if matmul(a.matrix, b.matrix) != matmul(b.matrix, a.matrix):
+            if compose(a.perm, b.perm) != compose(b.perm, a.perm):
                 raise AssertionError(f"blocks {i} and {j} of {datum} do not commute")
     out = identity_elem(rs)
     if datum.delta == "s1":

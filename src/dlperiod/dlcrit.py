@@ -34,9 +34,9 @@ from .feaslin import (
     strict_feasible,
     verify_witness,
 )
-from .linalg import Vector, integerize, matvec, transpose
+from .linalg import Vector, integerize
 from .rootsys import LinearForm, build_root_system, form_label
-from .weyl import WeylElem
+from .weyl import WeylElem, inverse, inversions
 
 __all__ = [
     "CriterionReport",
@@ -64,7 +64,7 @@ def _standard_twin(w: WeylElem):
     if rs.profile == "bourbaki":
         return w, rs
     twin = build_root_system(rs.kind, rs.rank, "bourbaki")
-    return WeylElem(twin, w.matrix, w.word), twin
+    return WeylElem(twin, w.perm, w.word), twin
 
 
 @dataclass(frozen=True)
@@ -87,19 +87,17 @@ def build_criterion_system(w: WeylElem, q: int, mode: str = "full_D") -> StrictS
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     wb, rs = _standard_twin(w)
-    m = wb.matrix
-    mt = transpose(m)
     forms: List[LinearForm] = []
     if mode == "full_D":
-        neg = rs.neg_set
-        for root in rs.positive_roots:
-            if matvec(m, root) in neg:
-                forms.append(LinearForm(coeffs=root, label=f"inv:{form_label(root)}"))
+        for i in inversions(wb):
+            root = rs.positive_roots[i]
+            forms.append(LinearForm(coeffs=root, label=f"inv:{form_label(root)}"))
     else:
         for root in rs.simple_roots:
             forms.append(LinearForm(coeffs=root, label=f"base:{form_label(root)}"))
-    for root in rs.simple_roots:
-        winv_root = matvec(mt, root)
+    winv = inverse(wb).perm
+    for root, i in zip(rs.simple_roots, rs.base_idx):
+        winv_root = rs.roots[winv[i]]
         coeffs = tuple(q * a - b for a, b in zip(root, winv_root))
         forms.append(LinearForm(coeffs=coeffs, label=f"crit:{form_label(root)}"))
     return StrictSystem(forms=tuple(forms))

@@ -22,14 +22,6 @@ def vec(xs: Iterable) -> Vector:
     return tuple(Q(x) for x in xs)
 
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -46,10 +38,6 @@ def dot(a: Vector, b: Vector) -> Q:
     return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
 
 
-def add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -57,10 +45,6 @@ def sub(a: Vector, b: Vector) -> Vector:
 def scale(c, a: Vector) -> Vector:
     cq = Q(c)
     return tuple(cq * x for x in a)
-
-
-def neg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
 
 
 def is_zero(a: Vector) -> bool:
@@ -85,10 +69,9 @@ def span_solver(basis: Sequence[Vector]) -> Callable[[Vector], Optional[Vector]]
 
     Row-reduces [columns(basis) | I] once and returns a closure that maps each
     target to its coordinates (or None when the target leaves the span) with a
-    single matrix-vector product.  The amortization matters when one basis
-    serves hundreds of targets, e.g. expressing every root of a system over
-    the simple roots.  Raises ValueError if the basis is dependent (callers
-    rely on coordinate uniqueness).
+    single matrix-vector product, so one reduction serves every target (e.g.
+    all columns of an inverse).  Raises ValueError if the basis is dependent
+    (callers rely on coordinate uniqueness).
     """
     k = len(basis)
     if k == 0:
@@ -126,54 +109,6 @@ def span_solver(basis: Sequence[Vector]) -> Callable[[Vector], Optional[Vector]]
     return solve
 
 
-def row_space_basis(rows: Sequence[Vector]) -> Tuple[Vector, ...]:
-    """Reduced row echelon basis of the span of `rows` (zero rows dropped)."""
-    if not rows:
-        return ()
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    out: list[list[Q]] = []
-    for row in work:
-        cur = row[:]
-        for b in out:
-            pc = next(i for i, x in enumerate(b) if x != 0)
-            if cur[pc] != 0:
-                f = cur[pc]
-                cur = [x - f * y for x, y in zip(cur, b)]
-        p = next((i for i, x in enumerate(cur) if x != 0), None)
-        if p is None:
-            continue
-        pv = cur[p]
-        cur = [x / pv for x in cur]
-        for b in out:
-            if b[p] != 0:
-                f = b[p]
-                b[:] = [x - f * y for x, y in zip(b, cur)]
-        out.append(cur)
-    out.sort(key=lambda b: next(i for i, x in enumerate(b) if x != 0))
-    return tuple(tuple(r) for r in out)
-
-
-def nullspace_vector(rows: Sequence[Vector], n: int) -> Optional[Vector]:
-    """One nonzero kernel vector of the row system, or None if trivial kernel.
-
-    Only used on systems whose kernel is at most one-dimensional; returns a
-    deterministic representative (free coordinate set to 1).
-    """
-    basis = row_space_basis(rows)
-    r = len(basis)
-    if r >= n:
-        return None
-    pivots = [next(i for i, x in enumerate(b) if x != 0) for b in basis]
-    free = [i for i in range(n) if i not in pivots]
-    f = free[0]
-    v = [ZERO] * n
-    v[f] = ONE
-    for b, p in zip(basis, pivots):
-        v[p] = -b[f]
-    return tuple(v)
-
-
 def integerize(a: Vector) -> Vector:
     """Scale by a positive rational so entries are coprime integers."""
     if is_zero(a):
@@ -186,15 +121,3 @@ def integerize(a: Vector) -> Vector:
     for v in ints:
         g = gcd(g, abs(v))
     return tuple(Q(v // g) for v in ints)
-
-
-def frac_str(x) -> str:
-    """Render a rational as 'p' or 'p/q' (exact, no floats)."""
-    return str(Q(x))
-
-
-def parse_frac(s: str) -> Q:
-    try:
-        return Q(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc

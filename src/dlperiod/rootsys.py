@@ -15,6 +15,12 @@ system; the profile only changes which reflections are the *generators*
 those generators simple (``coxeter_positive_roots``, used by the word and
 length machinery).
 
+The roots of a (kind, rank) are numbered once, for both profiles: the
+standard positive roots in `positive_roots` order take indices 0..N-1 and
+their negatives N..2N-1, in the same order.  Each generator is stored as the
+permutation it induces on these indices (`gen_perms`), which is how
+:mod:`dlperiod.weyl` represents group elements.
+
 >>> rs = build_root_system("A", 2)
 >>> len(rs.positive_roots)
 3
@@ -26,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from . import UsageError
-from .linalg import Vector, dot, is_zero, neg, scale, span_solver, sub, vec
+from .linalg import Vector, dot, scale, sub, vec
 
 __all__ = [
     "KINDS",
@@ -145,6 +151,15 @@ class RootSystem:
     neg_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
     cox_pos_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
     cox_neg_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
+    # root numbering (see the module docstring): index -> root, exact and doubled
+    roots: Tuple[Vector, ...] = field(repr=False, default=())
+    doubled: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
+    # generator g sends root i to root gen_perms[g][i]
+    gen_perms: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
+    # index of each generator's simple root in the Coxeter-positive system
+    base_idx: Tuple[int, ...] = field(repr=False, default=())
+    # cox_positive[i]: root i lies in coxeter_positive_roots
+    cox_positive: Tuple[bool, ...] = field(repr=False, default=())
 
     def __str__(self) -> str:
         return f"{self.kind}{self.rank}[{self.profile}]"
@@ -218,36 +233,86 @@ def _paper5_simples(kind: str, rank: int) -> Tuple[Tuple[Vector, ...], Tuple[str
     return (extra, *chain), ("tp", *n_names)
 
 
-def _orbit_closure(simples: Sequence[Vector]) -> Tuple[Vector, ...]:
-    # inline reflect() so each simple's squared norm is computed once,
-    # not once per (root, simple) pair
-    mirrors = [(a, dot(a, a)) for a in simples]
-    roots = set(simples)
-    queue = list(simples)
+IntVector = Tuple[int, ...]
+
+
+def _doubled(vs: Iterable[Vector]) -> Tuple[IntVector, ...]:
+    return tuple(tuple(int(2 * x) for x in v) for v in vs)
+
+
+def _fractions(rows: Iterable[IntVector], den: int) -> Tuple[Vector, ...]:
+    """Integer rows divided by `den`, sharing one Fraction per distinct entry."""
+    cache: dict = {}
+    return tuple(
+        tuple(cache[x] if x in cache else cache.setdefault(x, Q(x, den)) for x in r)
+        for r in rows
+    )
+
+
+def _idot(a: IntVector, b: IntVector) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _orbit_closure(
+    base: Sequence[IntVector],
+) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
+    """Positive roots of `base` and their coordinates over it, both sorted by
+    (height, coordinates).
+
+    Runs on doubled integer coordinates (every root lies in (1/2)Z^n), where
+    the Cartan integer <r, a> = 2(r, a)/(a, a) is exact.  Every positive root
+    is reached from a simple one by simple reflections that raise the
+    height, so only steps with <r, a> < 0 are followed.
+    """
+    mirrors = [(a, _idot(a, a)) for a in base]
+    unit = [tuple(int(i == j) for j in range(len(base))) for i in range(len(base))]
+    found = dict(zip(base, unit))
+    queue = list(base)
     while queue:
         r = queue.pop()
-        for a, aa in mirrors:
-            r2 = sub(r, scale(2 * dot(r, a) / aa, a))
-            if r2 not in roots:
-                roots.add(r2)
-                queue.append(r2)
-    return tuple(roots)
+        c = found[r]
+        for i, (a, aa) in enumerate(mirrors):
+            k = 2 * _idot(r, a) // aa
+            if k < 0:
+                r2 = tuple(x - k * y for x, y in zip(r, a))
+                if r2 not in found:
+                    found[r2] = c[:i] + (c[i] - k,) + c[i + 1 :]
+                    queue.append(r2)
+    keyed = sorted(found.items(), key=lambda t: (sum(t[1]), t[1]))
+    return tuple(r for r, _ in keyed), tuple(c for _, c in keyed)
 
 
-def _split_positive(
-    all_roots: Iterable[Vector], base: Sequence[Vector]
-) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
-    """(sorted positive roots, their coordinates) w.r.t. the given base."""
-    coords_of = span_solver(base)
-    keyed = []
-    for r in all_roots:
-        coords = coords_of(r)
-        if coords is None:
-            raise AssertionError("root outside simple-root span")
-        if all(c >= 0 for c in coords):
-            keyed.append((sum(coords), coords, r))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    return tuple(r for _, _, r in keyed), tuple(c for _, c, r in keyed)
+def _reflection_perm(
+    doubled: Sequence[IntVector], index: Dict[IntVector, int], a: IntVector
+) -> Tuple[int, ...]:
+    """The permutation of root indices induced by the reflection in `a`."""
+    aa = _idot(a, a)
+    out = []
+    for r in doubled:
+        k = 2 * _idot(r, a) // aa
+        out.append(index[tuple(x - k * y for x, y in zip(r, a))])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _root_table(kind: str, rank: int):
+    """The root numbering of (kind, rank), shared by both profiles.
+
+    Returns (ambient, standard simple roots, doubled roots by index, index
+    of each doubled root, Fraction roots by index, simple-root coordinates
+    of the positive roots).
+    """
+    ambient, std = _standard_simples(kind, rank)
+    pos2, coords = _orbit_closure(_doubled(std))
+    npos = positive_root_count(kind, rank)
+    if len(pos2) != npos:
+        raise AssertionError(
+            f"{kind}{rank}: closure produced {2 * len(pos2)} roots, "
+            f"expected {2 * npos}"
+        )
+    doubled = pos2 + tuple(tuple(-x for x in r) for r in pos2)
+    index = {r: i for i, r in enumerate(doubled)}
+    return ambient, std, doubled, index, _fractions(doubled, 2), _fractions(coords, 1)
 
 
 def _normalize_kind(kind: str, rank) -> Tuple[str, int]:
@@ -269,31 +334,28 @@ def _normalize_kind(kind: str, rank) -> Tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
-    ambient, std = _standard_simples(kind, rank)
-    all_roots = _orbit_closure(std)
-    npos = positive_root_count(kind, rank)
-    if len(all_roots) != 2 * npos:
-        raise AssertionError(
-            f"{kind}{rank}: closure produced {len(all_roots)} roots, "
-            f"expected {2 * npos}"
-        )
-    pos, coords = _split_positive(all_roots, std)
+    ambient, std, doubled, index, roots, coords = _root_table(kind, rank)
+    npos = len(coords)
+    pos = roots[:npos]
 
     if profile == "bourbaki":
         gens = std
         names = tuple(f"s{i}" for i in range(1, rank + 1))
-        cox_pos = pos
         trace_zero = False
     else:
         gens, names = _paper5_simples(kind, rank)
         trace_zero = kind == "A"
-        if kind == "A":
-            cox_pos = pos
-        else:
-            # the generators are the simple reflections of the base obtained
-            # by flipping the extra root; recompute positivity against it
-            alt_base = (neg(gens[0]), *gens[1:])
-            cox_pos, _ = _split_positive(all_roots, alt_base)
+    base = _doubled(gens)
+    if profile == "paper5" and kind != "A":
+        # the generators are the simple reflections of the base obtained by
+        # flipping the extra root; positivity is recomputed against it
+        base = (tuple(-x for x in base[0]), *base[1:])
+        cox_idx = [index[r] for r in _orbit_closure(base)[0]]
+    else:
+        cox_idx = list(range(npos))
+    cox_positive = [False] * (2 * npos)
+    for i in cox_idx:
+        cox_positive[i] = True
 
     return RootSystem(
         kind=kind,
@@ -304,12 +366,17 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         gen_names=names,
         positive_roots=pos,
         pos_coords=coords,
-        coxeter_positive_roots=cox_pos,
+        coxeter_positive_roots=tuple(roots[i] for i in cox_idx),
         trace_zero=trace_zero,
         pos_set=frozenset(pos),
-        neg_set=frozenset(neg(r) for r in pos),
-        cox_pos_set=frozenset(cox_pos),
-        cox_neg_set=frozenset(neg(r) for r in cox_pos),
+        neg_set=frozenset(roots[npos:]),
+        cox_pos_set=frozenset(roots[i] for i in cox_idx),
+        cox_neg_set=frozenset(roots[(i + npos) % (2 * npos)] for i in cox_idx),
+        roots=roots,
+        doubled=doubled,
+        gen_perms=tuple(_reflection_perm(doubled, index, a) for a in base),
+        base_idx=tuple(index[a] for a in base),
+        cox_positive=tuple(cox_positive),
     )
 
 

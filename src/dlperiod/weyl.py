@@ -1,6 +1,14 @@
-"""Reflection-group elements: words, matrices, actions, and length functions.
+"""Reflection-group elements: words, root permutations, actions, and length
+functions.
 
-An element is a matrix acting on the ambient space of its root system.
+An element is the permutation it induces on the roots of its root system,
+numbered as in :mod:`dlperiod.rootsys` (positive roots first, then their
+negatives): `perm[i]` is the index of w(root i).  Products compose these
+tuples, and lengths, descents and reduced words are read off them.  The
+ambient matrix (`WeylElem.matrix`) is derived from the permutation when
+asked for, exactly: it sends each standard simple root to its image and
+fixes the orthogonal complement of the roots.
+
 Words are sequences of generator *names* (`"s1"`, `"t"`, `"tp"`, ...);
 1-based generator positions are accepted as integer tokens.  Extended
 tokens `sp0, sp1, ...` expand to the standard conjugated-reflection words
@@ -23,24 +31,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import CapacityError, UsageError
 from .linalg import (
     Matrix,
     Vector,
+    dot,
     identity,
     matmul,
     matvec,
-    neg,
-    transpose,
+    span_solver,
+    unit_vec,
     vec,
 )
-from .rootsys import RootSystem, build_root_system, reflect, weyl_order
+from .rootsys import RootSystem, build_root_system, weyl_order
 
 __all__ = [
+    "Perm",
     "WeylElem",
     "act",
+    "checked_order",
+    "compose",
     "coxeter_length",
     "coxeter_standard",
     "descents",
@@ -50,6 +64,7 @@ __all__ = [
     "generators",
     "identity_elem",
     "inverse",
+    "inversions",
     "is_reflection_matrix",
     "length",
     "multiply",
@@ -61,65 +76,118 @@ __all__ = [
 
 Word = Tuple[int, ...]  # 0-based generator positions (internal canonical form)
 WordLike = Union[str, Iterable[Union[int, str]]]
+Perm = Tuple[int, ...]  # perm[i] = index of the image of root i
 
 DEFAULT_GROUP_CAP = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class WeylElem:
-    """Group element: ambient matrix plus an optional defining word.
+def compose(a: Perm, b: Perm) -> Perm:
+    """The permutation of a * b: b acts first."""
+    return tuple(map(a.__getitem__, b))
 
-    Equality and hashing use (root system, matrix) only — the word is
+
+def _invert(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class WeylElem:
+    """Group element: root permutation plus an optional defining word.
+
+    Equality and hashing use (root system, permutation) only — the word is
     advisory and need not be reduced.
     """
 
     rs: RootSystem
-    matrix: Matrix
+    perm: Perm
     word: Optional[Word] = None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeylElem)
             and self.rs is other.rs
-            and self.matrix == other.matrix
+            and self.perm == other.perm
         )
 
     def __hash__(self) -> int:
-        return hash((self.rs.kind, self.rs.rank, self.rs.profile, self.matrix))
+        return hash(self.perm)
 
     def __str__(self) -> str:
         w = " ".join(word_names(self.rs, self.word)) if self.word is not None else "?"
         return f"<{self.rs} {w}>"
 
-
-_GEN_CACHE: Dict[Tuple[str, int, str], Tuple[Matrix, ...]] = {}
-
-
-def _reflection_matrix(alpha: Vector) -> Matrix:
-    n = len(alpha)
-    cols = [reflect(tuple(Q(1) if j == i else Q(0) for j in range(n)), alpha) for i in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    @property
+    def matrix(self) -> Matrix:
+        """The exact ambient matrix, derived from the permutation on each use."""
+        return _matrix_frame(self.rs.kind, self.rs.rank).matrix(self.perm)
 
 
-def _gen_matrices(rs: RootSystem) -> Tuple[Matrix, ...]:
-    key = (rs.kind, rs.rank, rs.profile)
-    out = _GEN_CACHE.get(key)
-    if out is None:
-        out = tuple(_reflection_matrix(a) for a in rs.simple_roots)
-        _GEN_CACHE[key] = out
-    return out
+class _MatrixFrame:
+    """Integer data that turns a root permutation into its matrix.
+
+    With a_i the standard simple roots and d_i their dual basis inside the
+    root span, the matrix of w is M = P + sum_i w(a_i) d_i^T, where P is the
+    projection onto the orthogonal complement of the roots.  Over one common
+    denominator `den`, `const` is den * P and `terms[i][k]` is
+    den * (root k) d_i^T, both flattened row by row, so M takes one integer
+    sum per entry.  Rows are interned: a group's matrices share few rows,
+    so derived matrices hold little memory of their own.
+    """
+
+    def __init__(self, rs: RootSystem):
+        simples = rs.simple_roots
+        gram = [tuple(dot(a, b) for b in simples) for a in simples]
+        solve = span_solver(gram)  # gram is symmetric: solve(e_j) is row j of its inverse
+        ginv = [solve(unit_vec(rs.rank, j)) for j in range(rs.rank)]
+        n = self.n = rs.ambient
+        duals = [
+            [sum((g * a[c] for g, a in zip(row, simples)), Q(0)) for c in range(n)]
+            for row in ginv
+        ]
+        half = lcm(*(x.denominator for d in duals for x in d))  # roots are doubled
+        self.den = 2 * half
+        self.simples = rs.base_idx
+        self.terms = tuple(
+            tuple(tuple(x * e for x in r for e in d) for r in rs.doubled)
+            for d in ([int(x * half) for x in d] for d in duals)
+        )
+        self.const = tuple(
+            self.den * (k // n == k % n)  # den * I, flattened
+            - sum(t[s][k] for t, s in zip(self.terms, self.simples))
+            for k in range(n * n)
+        )
+        self._rows: Dict[Tuple[int, ...], Vector] = {}
+
+    def matrix(self, perm: Perm) -> Matrix:
+        parts = [t[perm[s]] for t, s in zip(self.terms, self.simples)]
+        sums = [sum(c) for c in zip(self.const, *parts)]
+        out = []
+        for i in range(0, len(sums), self.n):
+            key = tuple(sums[i : i + self.n])
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = tuple(Q(x, self.den) for x in key)
+            out.append(row)
+        return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _matrix_frame(kind: str, rank: int) -> _MatrixFrame:
+    return _MatrixFrame(build_root_system(kind, rank))
 
 
 def identity_elem(rs: RootSystem) -> WeylElem:
-    return WeylElem(rs, identity(rs.ambient), ())
+    return WeylElem(rs, tuple(range(len(rs.roots))), ())
 
 
 def generator(rs: RootSystem, pos: int) -> WeylElem:
     """Generator by 0-based position in `rs.gen_names` order."""
-    mats = _gen_matrices(rs)
-    if not 0 <= pos < len(mats):
+    if not 0 <= pos < len(rs.gen_perms):
         raise UsageError(f"generator position {pos} out of range for {rs}")
-    return WeylElem(rs, mats[pos], (pos,))
+    return WeylElem(rs, rs.gen_perms[pos], (pos,))
 
 
 def generators(rs: RootSystem) -> Tuple[WeylElem, ...]:
@@ -194,27 +262,26 @@ def word_names(rs: RootSystem, word: Optional[Word]) -> Tuple[str, ...]:
 def from_word(rs: RootSystem, word: WordLike) -> WeylElem:
     """Element of the given word; the rightmost letter acts first.
 
-    The matrix is the left-to-right product of generator matrices, so for
+    The element is the left-to-right product of the generators, so for
     w = from_word(rs, "t s1") the action on a vector x is t(s1(x)).
     """
     positions = parse_word(rs, word)
-    mats = _gen_matrices(rs)
-    m = identity(rs.ambient)
-    for p in positions:
-        m = matmul(m, mats[p])
-    return WeylElem(rs, m, positions)
+    p = tuple(range(len(rs.roots)))
+    for g in positions:
+        p = compose(p, rs.gen_perms[g])
+    return WeylElem(rs, p, positions)
 
 
 def multiply(a: WeylElem, b: WeylElem) -> WeylElem:
     if a.rs is not b.rs:
         raise UsageError("multiply: elements live in different systems")
     word = a.word + b.word if a.word is not None and b.word is not None else None
-    return WeylElem(a.rs, matmul(a.matrix, b.matrix), word)
+    return WeylElem(a.rs, compose(a.perm, b.perm), word)
 
 
 def inverse(w: WeylElem) -> WeylElem:
     word = tuple(reversed(w.word)) if w.word is not None else None
-    return WeylElem(w.rs, transpose(w.matrix), word)
+    return WeylElem(w.rs, _invert(w.perm), word)
 
 
 def act(w: WeylElem, x: Iterable) -> Vector:
@@ -235,10 +302,16 @@ def is_reflection_matrix(w: WeylElem) -> bool:
     return tr == w.rs.ambient - 2
 
 
+def inversions(w: WeylElem) -> Tuple[int, ...]:
+    """Indices (into `positive_roots`) of the standard positive roots that w
+    sends to negative roots."""
+    npos = len(w.rs.positive_roots)
+    return tuple(i for i, j in enumerate(w.perm[:npos]) if j >= npos)
+
+
 def length(w: WeylElem) -> int:
     """Inversions of w against the standard positive system."""
-    neg_set = w.rs.neg_set
-    return sum(1 for r in w.rs.positive_roots if matvec(w.matrix, r) in neg_set)
+    return len(inversions(w))
 
 
 def coxeter_length(w: WeylElem) -> int:
@@ -247,40 +320,34 @@ def coxeter_length(w: WeylElem) -> int:
     Counted as inversions against `coxeter_positive_roots`; equals the
     minimum number of generators whose product is w.
     """
-    neg_set = w.rs.cox_neg_set
-    return sum(
-        1 for r in w.rs.coxeter_positive_roots if matvec(w.matrix, r) in neg_set
-    )
+    pos = w.rs.cox_positive
+    return sum(1 for i, j in enumerate(w.perm) if pos[i] and not pos[j])
+
+
+def _left_descents(rs: RootSystem, inv: Perm) -> List[int]:
+    """Generators g with l(s_g w) < l(w), given w^-1: those whose simple root
+    w^-1 sends to a negative root."""
+    pos = rs.cox_positive
+    return [g for g, b in enumerate(rs.base_idx) if not pos[inv[b]]]
 
 
 def descents(w: WeylElem) -> Tuple[int, ...]:
     """0-based positions g with coxeter_length(s_g * w) < coxeter_length(w)."""
-    mats = _gen_matrices(w.rs)
-    lw = coxeter_length(w)
-    out = []
-    for g, m in enumerate(mats):
-        if coxeter_length(WeylElem(w.rs, matmul(m, w.matrix))) < lw:
-            out.append(g)
-    return tuple(out)
+    return tuple(_left_descents(w.rs, _invert(w.perm)))
 
 
 def reduced_word(w: WeylElem) -> Word:
     """A reduced word (0-based positions), peeling smallest left descents."""
-    mats = _gen_matrices(w.rs)
-    cur = w.matrix
+    rs = w.rs
+    inv = _invert(w.perm)
     out: List[int] = []
-    remaining = coxeter_length(w)
-    while remaining > 0:
-        for g, m in enumerate(mats):
-            nxt = matmul(m, cur)
-            if coxeter_length(WeylElem(w.rs, nxt)) == remaining - 1:
-                out.append(g)
-                cur = nxt
-                remaining -= 1
-                break
-        else:  # pragma: no cover - would mean a broken length function
-            raise AssertionError("no descent found on an element of positive length")
-    return tuple(out)
+    while True:
+        found = _left_descents(rs, inv)
+        if not found:
+            return tuple(out)
+        g = found[0]
+        out.append(g)
+        inv = compose(inv, rs.gen_perms[g])  # (s_g w)^-1 = w^-1 s_g
 
 
 def support(w: WeylElem) -> frozenset:
@@ -293,6 +360,16 @@ def coxeter_standard(rs: RootSystem) -> WeylElem:
     return from_word(rs, tuple(range(1, len(rs.gen_names) + 1)))
 
 
+def checked_order(rs: RootSystem, cap: int) -> int:
+    """Order of the group of rs; raises CapacityError when it exceeds `cap`."""
+    order = weyl_order(rs.kind, rs.rank)
+    if order > cap:
+        raise CapacityError(
+            f"group {rs} has order {order}, exceeding cap {cap}"
+        )
+    return order
+
+
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylElem]:
     """All group elements in breadth-first order from the identity.
 
@@ -300,27 +377,26 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylEl
     Raises CapacityError (naming the group order) when the group is larger
     than `cap`.
     """
-    order = weyl_order(rs.kind, rs.rank)
-    if order > cap:
-        raise CapacityError(
-            f"group {rs} has order {order}, exceeding cap {cap}"
-        )
-    mats = _gen_matrices(rs)
-    start = identity(rs.ambient)
-    seen: Dict[Matrix, Word] = {start: ()}
-    order_list: List[Matrix] = [start]
+    order = checked_order(rs, cap)
+    # An element is determined by the images of the simple roots, so visited
+    # elements are keyed by those; only new ones are composed in full.
+    base = rs.base_idx
+    gen_keys = [tuple(gp[b] for b in base) for gp in rs.gen_perms]
+    seen = {base}
+    perms: List[Perm] = [tuple(range(len(rs.roots)))]
+    words: List[Word] = [()]
     head = 0
-    while head < len(order_list):
-        m = order_list[head]
+    while head < len(perms):
+        p, w = perms[head], words[head]
         head += 1
-        w = seen[m]
-        for g, gm in enumerate(mats):
-            nm = matmul(m, gm)
-            if nm not in seen:
-                seen[nm] = w + (g,)
-                order_list.append(nm)
-    if len(order_list) != order:
+        for g, (gp, gk) in enumerate(zip(rs.gen_perms, gen_keys)):
+            key = tuple(map(p.__getitem__, gk))
+            if key not in seen:
+                seen.add(key)
+                perms.append(compose(p, gp))
+                words.append(w + (g,))
+    if len(perms) != order:
         raise AssertionError(
-            f"enumerated {len(order_list)} elements of {rs}, expected {order}"
+            f"enumerated {len(perms)} elements of {rs}, expected {order}"
         )
-    return [WeylElem(rs, m, seen[m]) for m in order_list]
+    return [WeylElem(rs, p, w) for p, w in zip(perms, words)]

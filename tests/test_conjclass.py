@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dlperiod import UsageError
+from dlperiod import CapacityError, UsageError
 from dlperiod.linalg import matmul
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
@@ -22,6 +22,7 @@ from dlperiod.conjclass import (
     gp_enumerate,
     gp_system,
     gp_word_tokens,
+    group_table,
     min_length_bruteforce,
     reduce_to_minimal,
     shift_closure,
@@ -108,6 +109,17 @@ def test_shift_closure_contains_start_and_is_length_monotone():
     assert any(x.matrix == w.matrix for x in cl)
     lw = coxeter_length(w)
     assert all(coxeter_length(x) <= lw for x in cl)
+
+
+def test_cached_group_table_respects_cap():
+    rs = build_root_system("B", 3)
+    assert len(group_table(rs).elems) == 48
+    with pytest.raises(CapacityError) as exc:
+        group_table(rs, cap=10)
+    assert "48" in str(exc.value)
+    with pytest.raises(CapacityError):
+        reduce_to_minimal(from_word(rs, "s1 s2"), cap=47)
+    assert group_table(rs, cap=48) is group_table(rs)
 
 
 # --- distinguished representatives -----------------------------------------

@@ -1,11 +1,12 @@
-from collections import deque
+import random
+from collections import Counter, deque
 from fractions import Fraction as Q
 
 import pytest
 
 from dlperiod import CapacityError, UsageError
 from dlperiod.linalg import identity, matmul
-from dlperiod.rootsys import build_root_system
+from dlperiod.rootsys import build_root_system, reflect
 from dlperiod.weyl import (
     act,
     coxeter_length,
@@ -41,6 +42,26 @@ def bfs_word_lengths(rs):
                 dist[nxt] = dist[m] + 1
                 queue.append(nxt)
     return dist
+
+
+def poincare_coefficients(degrees):
+    """Coefficients of the Poincare polynomial prod_i [d_i]_q, where
+    [d]_q = 1 + q + ... + q^(d-1): the number of elements of each length."""
+    coeffs = [1]
+    for d in degrees:
+        out = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                out[i + j] += c
+        coeffs = out
+    return coeffs
+
+
+def reflection_matrix(alpha):
+    """Matrix of the reflection in alpha, column j the image of e_j."""
+    n = len(alpha)
+    cols = [reflect(tuple(Q(int(i == j)) for i in range(n)), alpha) for j in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def test_parse_word_forms():
@@ -184,3 +205,50 @@ def test_coxeter_standard_element():
     assert word_names(rs, c.word) == ("s1", "s2", "s3")
     b = build_root_system("B", 2, "paper5")
     assert word_names(b, coxeter_standard(b).word) == ("t", "s1")
+
+
+# degrees of the basic invariants of each Coxeter type
+DEGREES = {
+    ("A", 5): (2, 3, 4, 5, 6),
+    ("B", 5): (2, 4, 6, 8, 10),
+    ("D", 5): (2, 4, 5, 6, 8),
+    ("F", 4): (2, 6, 8, 12),
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+}
+
+
+def test_length_distribution_matches_poincare_polynomial():
+    for spec in [("A", 5, "bourbaki"), ("B", 5, "paper5"), ("D", 5, "paper5"),
+                 ("F", 4, "bourbaki"), ("E", 6, "bourbaki")]:
+        rs = build_root_system(*spec)
+        counts = Counter()
+        for w in enumerate_group(rs):
+            lw = coxeter_length(w)
+            assert len(w.word) == lw, (spec, w.word)  # breadth-first words are geodesic
+            counts[lw] += 1
+        expected = poincare_coefficients(DEGREES[spec[:2]])
+        assert [counts[k] for k in range(len(expected))] == expected, spec
+        assert sum(counts.values()) == sum(expected), spec
+
+
+def test_matrix_is_product_of_reflection_matrices():
+    rng = random.Random(20070510)
+    specs = [
+        ("A", 1, "bourbaki"), ("A", 4, "bourbaki"), ("B", 3, "bourbaki"),
+        ("C", 3, "bourbaki"), ("C", 5, "bourbaki"), ("D", 4, "bourbaki"),
+        ("D", 6, "bourbaki"), ("E", 6, "bourbaki"), ("E", 7, "bourbaki"),
+        ("E", 8, "bourbaki"), ("F", 4, "bourbaki"), ("G", 2, "bourbaki"),
+        ("A", 3, "paper5"), ("B", 2, "paper5"), ("B", 4, "paper5"),
+        ("D", 4, "paper5"), ("D", 5, "paper5"),
+    ]
+    for spec in specs:
+        rs = build_root_system(*spec)
+        mats = [reflection_matrix(a) for a in rs.simple_roots]
+        for _ in range(6):
+            word = [rng.randrange(len(mats)) for _ in range(rng.randint(0, 12))]
+            m = identity(rs.ambient)
+            for g in word:
+                m = matmul(m, mats[g])
+            w = from_word(rs, [g + 1 for g in word])
+            assert w.matrix == m, (spec, word)
+            assert inverse(w).matrix == tuple(zip(*m)), (spec, word)
