@@ -36,7 +36,7 @@ from .feaslin import (
 )
 from .linalg import Vector, integerize
 from .rootsys import LinearForm, build_root_system, form_label
-from .weyl import WeylElem, inverse, inversions
+from .weyl import WeylElem, inverse, inversions, reduced_word
 
 __all__ = [
     "CriterionReport",
@@ -60,11 +60,16 @@ def _check_q(q: int) -> int:
 
 
 def _standard_twin(w: WeylElem):
+    """The same element in the standard profile, with a word in its generators.
+
+    Both profiles number the roots alike, so the permutation carries over;
+    the word does not, since the generators differ.
+    """
     rs = w.rs
     if rs.profile == "bourbaki":
         return w, rs
     twin = build_root_system(rs.kind, rs.rank, "bourbaki")
-    return WeylElem(twin, w.perm, w.word), twin
+    return WeylElem(twin, w.perm, reduced_word(WeylElem(twin, w.perm))), twin
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,18 @@ def _delta_witness_D(datum: GPDatum) -> Vector:
     return tuple(x)  # type: ignore[arg-type]
 
 
+def _recipe_witness(datum: GPDatum) -> Vector:
+    """The closed-form chamber point of a block representative (unchecked)."""
+    if datum.kind == "A":
+        return _chain_witness("A", datum.parts, datum.signs, datum.rank)
+    if datum.kind == "B":
+        return _chain_witness("B", datum.parts, datum.signs, datum.rank)
+    if datum.delta == "one":
+        parity = 1 if sum(1 for s in datum.signs if s < 0) % 2 == 0 else -1
+        return _chain_witness("B", (1, *datum.parts), (parity, *datum.signs), datum.rank)
+    return _delta_witness_D(datum)
+
+
 def gp_witness(datum: GPDatum, q: int) -> Vector:
     """Exact chamber witness for a block representative at the given q.
 
@@ -228,15 +245,7 @@ def gp_witness(datum: GPDatum, q: int) -> Vector:
     chamber_C system of gp_element(datum) before being returned.
     """
     _check_q(q)
-    if datum.kind == "A":
-        xs = _chain_witness("A", datum.parts, datum.signs, datum.rank)
-    elif datum.kind == "B":
-        xs = _chain_witness("B", datum.parts, datum.signs, datum.rank)
-    elif datum.delta == "one":
-        parity = 1 if sum(1 for s in datum.signs if s < 0) % 2 == 0 else -1
-        xs = _chain_witness("B", (1, *datum.parts), (parity, *datum.signs), datum.rank)
-    else:
-        xs = _delta_witness_D(datum)
+    xs = _recipe_witness(datum)
     system = build_criterion_system(gp_element(datum), q, "chamber_C")
     if not verify_witness(system, xs):
         raise AssertionError(f"recipe witness failed for {datum} at q={q}")
@@ -262,30 +271,21 @@ class GPScanResult:
 def scan_gp(kind: str, rank: int, q: int, mode: str = "chamber_C") -> GPScanResult:
     """Run the criterion over every block representative of (kind, rank).
 
-    Recipe witnesses are used directly (and re-verified exactly); if a
-    recipe ever failed to verify, the entry falls back to the generic
-    elimination decision so the scan result stays honest.
+    Each entry carries the recipe witness, integerized and checked exactly
+    against the entry's own (q, mode) system; a failed check raises.
     """
     _check_q(q)
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     entries: List[GPScanEntry] = []
     for datum in gp_enumerate(kind, rank):
-        w = gp_element(datum)
-        system = build_criterion_system(w, q, mode)
-        try:
-            xs = gp_witness(datum, q)
-        except AssertionError:  # pragma: no cover - recipes are total
-            report = check_dl_criterion(w, q, mode)
-        else:
-            if mode == "full_D" and not verify_witness(system, xs):  # pragma: no cover
-                report = check_dl_criterion(w, q, mode)
-            else:
-                result = FeasibilityResult(feasible=True, witness=integerize(xs))
-                if not verify_witness(system, result.witness):  # pragma: no cover
-                    raise AssertionError("integerized witness failed re-verification")
-                wb, _ = _standard_twin(w)
-                report = CriterionReport(w=wb, q=q, mode=mode, system=system, result=result)
+        wb, _ = _standard_twin(gp_element(datum))
+        system = build_criterion_system(wb, q, mode)
+        witness = integerize(_recipe_witness(datum))
+        if not verify_witness(system, witness):
+            raise AssertionError(f"recipe witness failed for {datum} at q={q} ({mode})")
+        result = FeasibilityResult(feasible=True, witness=witness)
+        report = CriterionReport(w=wb, q=q, mode=mode, system=system, result=result)
         entries.append(GPScanEntry(datum=datum, report=report))
     return GPScanResult(
         kind=kind,

@@ -8,19 +8,24 @@ produces it explicitly:
 * a rational witness x (returned scaled to a primitive integer vector), or
 * a certificate y >= 0, y != 0, with sum_i y_i f_i = 0.
 
-The decision procedure is Fourier-Motzkin elimination; every derived form
-carries its nonnegative-combination pedigree over the original forms, so
-an eliminated-to-zero form *is* the certificate.  Both outcomes are
-re-verified exactly before being returned.
+The decision procedure is one exact Phase-I simplex on the Gordan side:
+each form is scaled to integers by a positive factor, and the LP
+"sum_i y_i f_i = 0, sum_i y_i = 1, y >= 0" is solved from an all-artificial
+basis by fraction-free integer pivoting (Edmonds / Bareiss) with Bland's
+rule (Bland, Math. Oper. Res. 2, 1977).  An optimum of 0 gives y, which
+times the form scales is the certificate; a positive optimum gives Phase-I
+duals u with f_i . u < 0 for every i, so x = -u is a witness.  Both
+outcomes are re-verified exactly before being returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import UsageError
-from .linalg import Vector, dot, integerize, is_zero, vec
+from .linalg import Vector, integerize, is_zero, vec
 from .rootsys import LinearForm, form_label
 
 __all__ = [
@@ -89,23 +94,69 @@ def verify_certificate(system: StrictSystem, y: Vector) -> bool:
     return all(v == 0 for v in comb)
 
 
-class _Tracked:
-    """A working form plus its nonnegative pedigree over the original forms."""
+def _phase_one(cols: List[List[int]], d: int):
+    """Minimise the artificial sum of the Gordan LP by integer pivoting.
 
-    __slots__ = ("coeffs", "combo")
+    The unknowns are y_1..y_m (one per form, columns 0..m-1) with
+    sum_i y_i g_i = 0 in d rows, sum_i y_i = 1 in row d, y >= 0, and one
+    artificial column per row (columns m..m+d); the last column is the
+    right-hand side and the last row the objective row (reduced costs,
+    and minus the objective value in the last column).  The integer
+    tableau `tab` stands for tab / det, where det is the determinant of
+    the current basis; a pivot on (r, s) replaces every entry outside row
+    r by (p * tab[i][j] - tab[i][s] * tab[r][j]) // det with p = tab[r][s],
+    which divides exactly because every entry is a minor of the starting
+    tableau (Edmonds), and p becomes the new det.  Bland's rule (the
+    least eligible index, for the entering column and among tied leaving
+    rows) excludes cycling.  Artificial columns never re-enter.
 
-    def __init__(self, coeffs: Vector, combo: Vector):
-        self.coeffs = coeffs
-        self.combo = combo
-
-
-def _dedupe(forms: List[_Tracked]) -> List[_Tracked]:
-    seen = {}
-    for f in forms:
-        key = integerize(f.coeffs)
-        if key not in seen:
-            seen[key] = f
-    return list(seen.values())
+    Returns (tableau, basis, det).
+    """
+    m = len(cols)
+    rhs = m + d + 1
+    tab = []
+    for k in range(d + 1):
+        row = [g[k] for g in cols] if k < d else [1] * m
+        row += [0] * (d + 2)
+        row[m + k] = 1
+        tab.append(row)
+    tab[d][rhs] = 1
+    tab.append([-sum(col) for col in zip(*tab)])
+    tab[-1][m : m + d + 1] = [0] * (d + 1)
+    obj = tab[-1]
+    basis = list(range(m, m + d + 1))
+    det = 1
+    while obj[rhs]:  # the artificial sum is still positive
+        s = next((j for j in range(m) if obj[j] < 0), None)
+        if s is None:
+            break
+        r = None
+        for i in range(d + 1):
+            a = tab[i][s]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                # compare the ratios tab[i][rhs] / a and tab[r][rhs] / tab[r][s]
+                left, right = tab[i][rhs] * tab[r][s], tab[r][rhs] * a
+                if left < right or (left == right and basis[i] < basis[r]):
+                    r = i
+        if r is None:  # pragma: no cover - the objective is bounded below by 0
+            raise AssertionError("unbounded phase-I column")
+        p = tab[r][s]
+        prow = tab[r]
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            c = row[s]
+            if c:
+                tab[i] = [(p * x - c * y) // det for x, y in zip(row, prow)]
+            elif p != det:
+                tab[i] = [p * x // det for x in row]
+        obj = tab[-1]
+        basis[r] = s
+        det = p
+    return tab, basis, det
 
 
 def strict_feasible(system: StrictSystem) -> FeasibilityResult:
@@ -117,62 +168,39 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     if m == 0:
         return FeasibilityResult(feasible=True, witness=())
     d = system.dim
-    unit = lambda i: tuple(Q(1) if j == i else Q(0) for j in range(m))
 
-    active: List[_Tracked] = []
+    cols: List[List[int]] = []
+    scales: List[Q] = []
     for i, f in enumerate(system.forms):
         if is_zero(f.coeffs):
-            cert = unit(i)  # 0 > 0 is its own refutation
+            # 0 > 0 is its own refutation
+            cert = tuple(Q(1) if j == i else Q(0) for j in range(m))
             if not verify_certificate(system, cert):  # pragma: no cover
                 raise AssertionError("certificate failed exact re-verification")
             return FeasibilityResult(feasible=False, certificate=cert)
-        active.append(_Tracked(f.coeffs, unit(i)))
-    active = _dedupe(active)
+        den = lcm(*(c.denominator for c in f.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+        g = gcd(*ints)
+        cols.append([v // g for v in ints])  # f scaled by den / g > 0
+        scales.append(Q(den, g))
 
-    bounds_at: List[List[_Tracked]] = [[] for _ in range(d)]
-    for k in range(d - 1, -1, -1):
-        lows = [f for f in active if f.coeffs[k] > 0]
-        ups = [f for f in active if f.coeffs[k] < 0]
-        bounds_at[k] = lows + ups
-        nxt = [f for f in active if f.coeffs[k] == 0]
-        for fp in lows:
-            for fm in ups:
-                a, b = fp.coeffs[k], -fm.coeffs[k]  # both > 0
-                coeffs = tuple(b * x + a * y for x, y in zip(fp.coeffs, fm.coeffs))
-                combo = tuple(b * x + a * y for x, y in zip(fp.combo, fm.combo))
-                if is_zero(coeffs):
-                    cert = integerize(combo)
-                    if not verify_certificate(system, cert):  # pragma: no cover
-                        raise AssertionError(
-                            "certificate failed exact re-verification"
-                        )
-                    return FeasibilityResult(feasible=False, certificate=cert)
-                nxt.append(_Tracked(coeffs, combo))
-        active = _dedupe(nxt)
+    tab, basis, det = _phase_one(cols, d)
+    rhs = m + d + 1
+    if tab[-1][rhs] == 0:
+        # a convex combination of the scaled forms vanishes
+        y = [Q(0)] * m
+        for i, j in enumerate(basis):
+            if j < m:
+                y[j] = tab[i][rhs] * scales[j]
+        cert = integerize(tuple(y))
+        if not verify_certificate(system, cert):  # pragma: no cover
+            raise AssertionError("certificate failed exact re-verification")
+        return FeasibilityResult(feasible=False, certificate=cert)
 
-    # never derived 0 > 0, so the system is feasible: back-substitute
-    x: List[Q] = [Q(0)] * d
-    for k in range(d):
-        lo: Optional[Q] = None
-        hi: Optional[Q] = None
-        for f in bounds_at[k]:
-            rest = sum((f.coeffs[j] * x[j] for j in range(k)), Q(0))
-            bound = -rest / f.coeffs[k]
-            if f.coeffs[k] > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None:
-            if not lo < hi:  # pragma: no cover - contradicts FM feasibility
-                raise AssertionError("empty interval after elimination")
-            x[k] = (lo + hi) / 2
-        elif lo is not None:
-            x[k] = lo + 1
-        elif hi is not None:
-            x[k] = hi - 1
-        # else unconstrained: leave 0
-
-    witness = integerize(tuple(x))
+    # optimum > 0: the duals u of the d equality rows give g_i . u < 0 for
+    # every form; the artificial column of row k has reduced cost 1 - u_k
+    obj = tab[-1]
+    witness = integerize(tuple(Q(obj[m + k] - det) for k in range(d)))
     if not verify_witness(system, witness):  # pragma: no cover
         raise AssertionError("witness failed exact re-verification")
     return FeasibilityResult(feasible=True, witness=witness)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from . import UsageError
 from .linalg import Vector, dot, scale, sub, vec
@@ -147,10 +147,6 @@ class RootSystem:
     # roots are exactly `simple_roots`' reflections (differs from
     # positive_roots only for paper5 B/D)
     trace_zero: bool  # paper5-A chamber lives in the sum-zero hyperplane
-    pos_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
-    neg_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
-    cox_pos_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
-    cox_neg_set: FrozenSet[Vector] = field(repr=False, default=frozenset())
     # root numbering (see the module docstring): index -> root, exact and doubled
     roots: Tuple[Vector, ...] = field(repr=False, default=())
     doubled: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
@@ -368,10 +364,6 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         pos_coords=coords,
         coxeter_positive_roots=tuple(roots[i] for i in cox_idx),
         trace_zero=trace_zero,
-        pos_set=frozenset(pos),
-        neg_set=frozenset(roots[npos:]),
-        cox_pos_set=frozenset(roots[i] for i in cox_idx),
-        cox_neg_set=frozenset(roots[(i + npos) % (2 * npos)] for i in cox_idx),
         roots=roots,
         doubled=doubled,
         gen_perms=tuple(_reflection_perm(doubled, index, a) for a in base),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +139,17 @@ def test_pretty_format(capsys):
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
+
+
+def test_module_entry_point_matches_cli_main(capsys):
+    argv = ["dl-criterion", "--type", "B3", "--profile", "paper5",
+            "--word", "t s1", "--q", "2"]
+    code, expected, _ = run(capsys, *argv)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dlperiod", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == expected.encode()

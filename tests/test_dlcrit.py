@@ -83,6 +83,17 @@ def test_paper5_words_get_standard_chamber():
     assert {f.coeffs for f in r5.system.forms} == {f.coeffs for f in r.system.forms}
 
 
+def test_standard_twin_word_is_valid_in_its_own_generators():
+    # t is the reflection in e1, which is s1 s2 s3 s2 s1 in the standard profile
+    r = check_dl_criterion(from_word(build_root_system("B", 3, "paper5"), "t"), 2)
+    assert r.w == from_word(build_root_system("B", 3), "s1 s2 s3 s2 s1")
+    for kind, rank in [("B", 3), ("D", 4)]:
+        for w in enumerate_group(build_root_system(kind, rank, "paper5")):
+            rw = check_dl_criterion(w, 2).w
+            assert rw.rs.profile == "bourbaki" and rw.perm == w.perm
+            assert from_word(rw.rs, word_names(rw.rs, rw.word)) == rw, (kind, w.word)
+
+
 def test_recipe_witnesses_frozen():
     assert gp_witness(GPDatum("A", 3, (3,), (1,)), 2) == (Q(1), Q(5, 6), Q(2, 3))
     assert gp_witness(GPDatum("B", 2, (2,), (-1,)), 2) == (Q(1), Q(3, 4))

@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import ray_feasible
 from dlperiod import UsageError
+from dlperiod.dlcrit import MODES, build_criterion_system
 from dlperiod.feaslin import (
     FeasibilityResult,
     StrictSystem,
@@ -13,7 +14,8 @@ from dlperiod.feaslin import (
     verify_certificate,
     verify_witness,
 )
-from dlperiod.rootsys import LinearForm
+from dlperiod.rootsys import LinearForm, build_root_system
+from dlperiod.weyl import from_word
 
 
 def decide(rows):
@@ -108,3 +110,37 @@ def test_random_systems_against_ray_oracle():
         assert res.feasible == ray_feasible(rows), rows
     # the corpus should exercise both outcomes heavily
     assert agree_f > 100 and agree_i > 100
+
+
+def test_pruning_counterexample_is_infeasible_with_certificate():
+    # the zero form certifying infeasibility is lost by Chernikov pruning
+    # applied to the homogeneous strict system
+    rows = [(1, 3, -1, 3), (2, 0, 2, -3), (3, -2, 2, 1),
+            (-2, 2, -2, 0), (-2, 2, 1, -1), (-2, -3, -1, -3)]
+    sys_ = strict_system(rows)
+    res = strict_feasible(sys_)
+    assert not res.feasible and not ray_feasible(rows)
+    assert verify_certificate(sys_, res.certificate)
+
+
+def test_criterion_corpus_is_decided_and_verified():
+    # seeded long words in large groups, both modes, q in {2, 4}
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    cells = [("B", 6, "bourbaki", 16), ("B", 6, "paper5", 16),
+             ("D", 6, "bourbaki", 16), ("D", 6, "paper5", 16), ("E", 8, "bourbaki", 30)]
+    for kind, rank, profile, max_len in cells:
+        rs = build_root_system(kind, rank, profile)
+        for _ in range(20):
+            word = [rng.randint(1, rank) for _ in range(rng.randint(1, max_len))]
+            w = from_word(rs, word)
+            for q in (2, 4):
+                for mode in MODES:
+                    sys_ = build_criterion_system(w, q, mode)
+                    res = strict_feasible(sys_)
+                    if res.feasible:
+                        assert verify_witness(sys_, res.witness), (kind, profile, word, q, mode)
+                    else:
+                        assert verify_certificate(sys_, res.certificate), (kind, profile, word, q, mode)
+                    outcomes[res.feasible] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes

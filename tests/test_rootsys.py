@@ -68,10 +68,11 @@ def test_weyl_orders():
 def test_simple_roots_are_roots_and_closure_is_reflection_stable():
     for kind, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)]:
         rs = build_root_system(kind, rank)
-        allroots = rs.pos_set | rs.neg_set
+        pos_set = frozenset(rs.positive_roots)
+        allroots = pos_set | {tuple(-c for c in r) for r in rs.positive_roots}
         assert len(allroots) == 2 * len(rs.positive_roots)
         for s in rs.simple_roots:
-            assert s in rs.pos_set
+            assert s in pos_set
             for beta in allroots:
                 assert reflect(beta, s) in allroots, (kind, rank, s, beta)
 
@@ -171,8 +172,8 @@ def test_paper5_profiles():
     a = build_root_system("A", 2, "paper5")
     assert a.trace_zero and not build_root_system("A", 2).trace_zero
     # positive_roots agree with the standard profile, only the chamber moves
-    assert b.pos_set == build_root_system("B", 3).pos_set
-    assert d.pos_set == build_root_system("D", 4).pos_set
+    assert set(b.positive_roots) == set(build_root_system("B", 3).positive_roots)
+    assert set(d.positive_roots) == set(build_root_system("D", 4).positive_roots)
     with pytest.raises(UsageError):
         build_root_system("G", 2, "paper5")
     with pytest.raises(UsageError):
@@ -181,12 +182,13 @@ def test_paper5_profiles():
 
 def test_coxeter_positive_roots_flip_only_for_paper5_bd():
     b = build_root_system("B", 3, "paper5")
-    assert b.cox_pos_set != b.pos_set
+    cox_pos = frozenset(b.coxeter_positive_roots)
+    assert cox_pos != frozenset(b.positive_roots)
     # the flipped chamber still splits the root set in half
-    assert len(b.cox_pos_set) == len(b.pos_set)
-    assert not (b.cox_pos_set & {tuple(-c for c in r) for r in b.cox_pos_set})
+    assert len(cox_pos) == len(b.positive_roots)
+    assert not (cox_pos & {tuple(-c for c in r) for r in cox_pos})
     for rs in (build_root_system("B", 3), build_root_system("A", 3, "paper5")):
-        assert rs.cox_pos_set == rs.pos_set
+        assert frozenset(rs.coxeter_positive_roots) == frozenset(rs.positive_roots)
 
 
 def test_chamber_forms_labels():
