@@ -24,7 +24,6 @@ from .weyl import (
     DEFAULT_GROUP_CAP,
     Perm,
     WeylElem,
-    Word,
     checked_order,
     compose,
     coxeter_length,
@@ -33,7 +32,6 @@ from .weyl import (
     generators,
     identity_elem,
     multiply,
-    parse_word,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "gp_element",
     "gp_enumerate",
     "gp_system",
-    "gp_word",
     "gp_word_tokens",
     "group_table",
     "min_length_bruteforce",
@@ -336,15 +333,6 @@ def gp_word_tokens(datum: GPDatum) -> Tuple[str, ...]:
         toks.extend(_block_tokens(datum, consumed, size, sign))
         consumed += size
     return tuple(toks)
-
-
-def gp_word(datum: GPDatum) -> Word:
-    """Construction word for the representative (0-based positions).
-
-    Not reduced in general — sign prefixes expand to conjugated
-    reflections, and the delta factor is prepended verbatim.
-    """
-    return parse_word(gp_system(datum), gp_word_tokens(datum))
 
 
 def _block_elems(datum: GPDatum, rs: RootSystem) -> List[WeylElem]:

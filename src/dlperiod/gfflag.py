@@ -4,33 +4,48 @@ Field elements are ints in [0, p^k), encoding polynomial coefficients in
 base p (digit i = coefficient of x^i) modulo a canonical irreducible:
 the lexicographically smallest monic irreducible of degree k, comparing
 coefficient tuples from the highest degree down.  Multiplication runs on
-exp/log tables, addition is XOR in characteristic 2 and a small table
+exp/log tables over the smallest primitive element (found by an order
+test), addition is XOR in characteristic 2 and a digit-built table
 otherwise, so the flag loops below stay integer-only.
 
-Flags are chains of subspaces, each stored as canonical reduced
-row-echelon rows; enumeration lifts echelon bases step by step through
-the quotient coordinates, so each flag is produced exactly once.  All
-enumerations are cap-guarded and raise CapacityError naming the predicted
-count.
+Linear algebra has one idiom: an *echelon state*, a tuple of
+(pivot, row) pairs in which each row is zero before its pivot, has a 1
+there, and is zero at the pivots of the pairs before it.  ``_extender``
+gives the one step, extending a state by a row (the state itself when
+the row lies in its span); its length is the rank.  ``rref`` and the
+canonical flag steps are states back-substituted by the same step.
+
+Flags of a type are walked depth first (``_walk``).  A node at depth k
+lifts reduced-echelon rows through the coordinates that are not pivots
+of V_{k-1}; the lifted rows already have distinct pivots, so they extend
+the state of V_{k-1} to that of V_k without any reduction, and each
+flag is produced exactly once.  Every node hands its subtree whatever
+state the counter carries, so no leaf reduces its whole flag again.
+All walks are cap-guarded before they start and raise CapacityError
+naming the predicted count.
 
 Three counters are exposed:
 
 * ``dl_point_count`` — complete flags whose relative position against
-  their q-power Frobenius image is a prescribed permutation;
+  their q-power Frobenius image is a prescribed permutation.  The walk
+  keeps the states of F_i + Frob(F)_j and writes the ranks with
+  max(i, j) = k at depth k; a leaf reads the permutation from the second
+  differences of the rank matrix.
 * ``omega_point_count`` — projective points avoiding every hyperplane
   rational over the q-element subfield (an independent computation, used
   to cross-identify the distinguished cell of the first counter);
 * ``period_point_count`` — flags of a fixed type that are semistable for
   a weakly decreasing integer vector, slope-tested against all rational
-  subspaces.
+  subspaces U.  Each U's state is built once and extended along the walk,
+  which records dim(U ^ V_d) at each cut.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import CapacityError, UsageError
 
@@ -62,6 +77,7 @@ __all__ = [
 ]
 
 Row = Tuple[int, ...]
+State = Tuple[Tuple[int, Sequence[int]], ...]
 
 FIELD_CAP = 2**16
 DEFAULT_ENUM_CAP = 10**6
@@ -76,6 +92,20 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_factors(m: int) -> List[int]:
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def prime_power(q: int) -> Tuple[int, int]:
@@ -97,6 +127,22 @@ def prime_power(q: int) -> Tuple[int, int]:
 # fields
 
 
+def _digits(e: int, p: int, k: int) -> List[int]:
+    """The k base-p digits of e, lowest first (polynomial coefficients)."""
+    out = []
+    for _ in range(k):
+        out.append(e % p)
+        e //= p
+    return out
+
+
+def _number(coeffs: Sequence[int], p: int) -> int:
+    e = 0
+    for c in reversed(coeffs):
+        e = e * p + c
+    return e
+
+
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
     """(a*b) mod (mod, p); polys are coefficient lists low -> high."""
     k = len(mod) - 1
@@ -114,6 +160,19 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int
             for j in range(k):
                 out[d - k + j] = (out[d - k + j] - c * mod[j]) % p
     return out[:k] + [0] * max(0, k - len(out))
+
+
+def _poly_pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> List[int]:
+    """a^e mod (mod, p) by square-and-multiply."""
+    out = [1] + [0] * (len(mod) - 2)
+    base = list(a)
+    while e:
+        if e & 1:
+            out = _poly_mul_mod(out, base, mod, p)
+        e >>= 1
+        if e:
+            base = _poly_mul_mod(base, base, mod, p)
+    return out
 
 
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -145,6 +204,19 @@ def _canonical_modulus(p: int, k: int) -> Tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
 
+def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
+    """The least g >= 2 of multiplicative order p^k - 1: g^(order/r) != 1
+    for every prime r dividing the order."""
+    order = p**k - 1
+    one = [1] + [0] * (k - 1)
+    cofactors = [order // r for r in _prime_factors(order)]
+    for g in range(2, p**k):
+        gp = _digits(g, p, k)
+        if all(_poly_pow_mod(gp, c, mod, p) != one for c in cofactors):
+            return g
+    raise AssertionError(f"GF({p}^{k}) has no primitive element")  # pragma: no cover
+
+
 class Field:
     """GF(p^k) with integer-encoded elements and table arithmetic."""
 
@@ -153,44 +225,48 @@ class Field:
         self.k = k
         self.size = p**k
         self.modulus = _canonical_modulus(p, k)
-        self._frob_cache: Dict[int, Tuple[int, ...]] = {}
-        self._rational_cache: Dict[int, Tuple[int, ...]] = {}
 
-        def enc(coeffs: Sequence[int]) -> int:
-            e = 0
-            for c in reversed(coeffs):
-                e = e * p + c
-            return e
-
-        def dec(e: int) -> List[int]:
-            out = []
+        # addition is digit-wise mod p; the tables are built one digit at a time
+        self._sums: Optional[Tuple[Tuple[int, ...], ...]] = None
+        if p == 2:
+            self.add = lambda a, b: a ^ b
+            self.neg = lambda a: a
+        else:
+            negs: Tuple[int, ...] = (0,)
             for _ in range(k):
-                out.append(e % p)
-                e //= p
-            return out
+                negs = tuple(h * p + (-d) % p for h in negs for d in range(p))
+            self.neg = lambda a, _n=negs: _n[a]
+            if self.size <= 1024:
+                digit = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
+                tbl = digit
+                for _ in range(k - 1):
+                    tbl = tuple(
+                        tuple(h * p + s for h in tbl[a // p] for s in digit[a % p])
+                        for a in range(len(tbl) * p)
+                    )
+                self._sums = tbl
+                self.add = lambda a, b, _t=tbl: _t[a][b]
+            else:
+                self.add = lambda a, b: _number(
+                    [(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p
+                )
 
-        self._enc, self._dec = enc, dec
+        # multiplication via a discrete log on the smallest primitive element g;
+        # the walk adds g*(low digits) and g*(high digits), both tabulated
+        exp = [1]
+        if self.size > 2:
+            gp = _digits(_smallest_primitive(p, k, self.modulus), p, k)
 
-        # multiplication via a discrete log on the smallest primitive element
-        order = self.size - 1
-        exp: List[int] = []
-        for g in range(2, self.size):
-            exp = [1]
-            cur = 1
-            gp = dec(g)
-            ok = True
-            for i in range(1, order):
-                cur = enc(_poly_mul_mod(dec(cur), gp, self.modulus, p))
-                if cur == 1:
-                    ok = False
-                    break
+            def times_g(a: int) -> int:
+                return _number(_poly_mul_mod(_digits(a, p, k), gp, self.modulus, p), p)
+
+            half = p ** (k // 2)
+            low = [times_g(a) for a in range(half)]
+            high = [times_g(a * half) for a in range(self.size // half)]
+            cur, add = 1, self.add
+            for _ in range(self.size - 2):
+                cur = add(low[cur % half], high[cur // half])
                 exp.append(cur)
-            if ok and enc(_poly_mul_mod(dec(exp[-1]), gp, self.modulus, p)) == 1:
-                break
-        else:  # pragma: no cover - fields of size 2 handled below
-            exp = [1]
-        if self.size == 2:
-            exp = [1]
         self.exp: Tuple[int, ...] = tuple(exp)
         log = [-1] * self.size
         for i, v in enumerate(exp):
@@ -198,26 +274,6 @@ class Field:
         self.log: Tuple[int, ...] = tuple(log)
         if any(v < 0 for v in log[1:]):  # pragma: no cover
             raise AssertionError(f"GF({p}^{k}): exp table does not cover all units")
-
-        if p == 2:
-            self.add = lambda a, b: a ^ b
-            self.neg = lambda a: a
-        else:
-            negs = tuple(enc([(p - c) % p for c in dec(a)]) for a in range(self.size))
-            self.neg = lambda a, _n=negs: _n[a]
-            if self.size <= 1024:
-                tbl = [
-                    tuple(
-                        enc([(x + y) % p for x, y in zip(dec(a), dec(b))])
-                        for b in range(self.size)
-                    )
-                    for a in range(self.size)
-                ]
-                self.add = lambda a, b, _t=tbl: _t[a][b]
-            else:  # pragma: no cover - big non-binary fields are unused here
-                self.add = lambda a, b: enc(
-                    [(x + y) % p for x, y in zip(dec(a), dec(b))]
-                )
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -234,19 +290,7 @@ class Field:
 
     def frob_map(self, q: int) -> Tuple[int, ...]:
         """The table of x -> x^q; q must be a subfield order p^m, m | k."""
-        cached = self._frob_cache.get(q)
-        if cached is not None:
-            return cached
-        p, m = prime_power(q)
-        if p != self.p or self.k % m != 0:
-            raise UsageError(f"GF({q}) is not a subfield of GF({self.p}^{self.k})")
-        order = self.size - 1
-        table = [0] * self.size
-        for a in range(1, self.size):
-            table[a] = self.exp[(self.log[a] * q) % order]
-        out = tuple(table)
-        self._frob_cache[q] = out
-        return out
+        return _frob_table(self, q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
@@ -256,6 +300,18 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
+
+
+@lru_cache(maxsize=None)
+def _frob_table(fld: Field, q: int) -> Tuple[int, ...]:
+    p, m = prime_power(q)
+    if p != fld.p or fld.k % m != 0:
+        raise UsageError(f"GF({q}) is not a subfield of GF({fld.p}^{fld.k})")
+    order = fld.size - 1
+    table = [0] * fld.size
+    for a in range(1, fld.size):
+        table[a] = fld.exp[(fld.log[a] * q) % order]
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -278,72 +334,89 @@ def build_extension(q: int, e: int) -> Field:
     return field_build(p, m * e)
 
 
+@lru_cache(maxsize=None)
 def rational_scalars(fld: Field, q: int) -> Tuple[int, ...]:
     """Elements of the q-element subfield (fixed points of x -> x^q)."""
-    cached = fld._rational_cache.get(q)
-    if cached is not None:
-        return cached
     frob = fld.frob_map(q)
     out = tuple(a for a in range(fld.size) if frob[a] == a)
     if len(out) != q:  # pragma: no cover
         raise AssertionError(f"subfield of order {q} has {len(out)} elements")
-    fld._rational_cache[q] = out
     return out
 
 
 # ---------------------------------------------------------------------------
-# row echelon machinery
+# echelon states
+
+
+@lru_cache(maxsize=None)
+def _extender(fld: Field) -> Callable[[State, Sequence[int]], State]:
+    """The echelon-extension step over fld.
+
+    ``extend(state, row)`` reduces row against the state's pairs in order;
+    if something is left, it returns the state plus (first nonzero column,
+    remainder scaled to 1 there), otherwise the state itself.  Products
+    read a doubled exp table, and a zero factor reads its zero tail.
+    """
+    order = fld.size - 1
+    log = fld.log
+    ext = fld.exp * 2 + (0,) * order
+    logz = (2 * order,) + log[1:]
+    if fld.p == 2:
+
+        def sub(v, c, b):  # v - c*b
+            lc = log[c]
+            return [x ^ ext[lc + logz[y]] for x, y in zip(v, b)]
+
+    else:
+        nlog = tuple(log[fld.neg(c)] for c in range(fld.size))  # log of -c
+        sums, add = fld._sums, fld.add
+        if sums is not None:
+
+            def sub(v, c, b):
+                lc = nlog[c]
+                return [sums[x][ext[lc + logz[y]]] for x, y in zip(v, b)]
+
+        else:  # pragma: no cover - big non-binary fields are unused here
+
+            def sub(v, c, b):
+                lc = nlog[c]
+                return [add(x, ext[lc + logz[y]]) for x, y in zip(v, b)]
+
+    def extend(state: State, row: Sequence[int]) -> State:
+        if len(state) == len(row):  # the whole space
+            return state
+        for pv, b in state:
+            c = row[pv]
+            if c:
+                row = sub(row, c, b)
+        for pv, c in enumerate(row):
+            if c:
+                if c != 1:
+                    li = order - log[c]
+                    row = [ext[li + logz[x]] for x in row]
+                return state + ((pv, row),)
+        return state
+
+    return extend
+
+
+def _reduced(fld: Field, state: State) -> Tuple[Row, ...]:
+    """Canonical reduced row-echelon rows of a state's span: the pairs,
+    highest pivot first, each extend the already reduced ones."""
+    extend = _extender(fld)
+    done: State = ()
+    for _pv, row in sorted(state, reverse=True):
+        done = extend(done, row)
+    return tuple(tuple(row) for _pv, row in reversed(done))
 
 
 def rref(fld: Field, rows: Iterable[Row]) -> Tuple[Row, ...]:
     """Canonical reduced row-echelon rows spanning the same space."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return ()
-    n = len(work[0])
-    out: List[List[int]] = []
-    pivots: List[int] = []
-    mul, add, neg, inv = fld.mul, fld.add, fld.neg, fld.inv
-    for row in work:
-        cur = row[:]
-        for pv, b in zip(pivots, out):
-            c = cur[pv]
-            if c:
-                nc = neg(c)
-                cur = [add(x, mul(nc, y)) for x, y in zip(cur, b)]
-        piv = next((i for i, x in enumerate(cur) if x), None)
-        if piv is None:
-            continue
-        ic = inv(cur[piv])
-        cur = [mul(ic, x) for x in cur]
-        for pv, b in zip(pivots, out):
-            c = b[piv]
-            if c:
-                nc = neg(c)
-                b[:] = [add(x, mul(nc, y)) for x, y in zip(b, cur)]
-        out.append(cur)
-        pivots.append(piv)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return tuple(tuple(out[i]) for i in order)
-
-
-def _reduce_against(
-    fld: Field, state: List[Tuple[int, List[int]]], row: Sequence[int]
-) -> Optional[Tuple[int, List[int]]]:
-    """Forward-reduce `row` against an echelon `state`; return the new
-    (pivot, normalized row) if independent, else None.  Mutates nothing."""
-    mul, add, neg, inv = fld.mul, fld.add, fld.neg, fld.inv
-    cur = list(row)
-    for pv, b in state:
-        c = cur[pv]
-        if c:
-            nc = neg(c)
-            cur = [add(x, mul(nc, y)) for x, y in zip(cur, b)]
-    piv = next((i for i, x in enumerate(cur) if x), None)
-    if piv is None:
-        return None
-    ic = inv(cur[piv])
-    return piv, [mul(ic, x) for x in cur]
+    extend = _extender(fld)
+    state: State = ()
+    for row in rows:
+        state = extend(state, row)
+    return _reduced(fld, state)
 
 
 # ---------------------------------------------------------------------------
@@ -396,33 +469,16 @@ def adapted_basis(flag: Flag) -> Tuple[Row, ...]:
     The first dims[i] rows span step i; unit vectors pad the tail so all
     flag.n rows together are a basis.
     """
-    rows = list(_adapted_from_steps(flag.field, flag.steps))
-    state: List[Tuple[int, List[int]]] = []
-    for row in rows:
-        red = _reduce_against(flag.field, state, row)
-        assert red is not None
-        state.append(red)
-    for i in range(flag.n):
-        if len(rows) == flag.n:
-            break
-        unit = tuple(1 if j == i else 0 for j in range(flag.n))
-        red = _reduce_against(flag.field, state, unit)
-        if red is not None:
-            state.append(red)
-            rows.append(unit)
+    extend = _extender(flag.field)
+    units = [tuple(1 if j == i else 0 for j in range(flag.n)) for i in range(flag.n)]
+    rows: List[Row] = []
+    state: State = ()
+    for row in [r for step in flag.steps for r in step] + units:
+        grown = extend(state, row)
+        if len(grown) > len(state):
+            state = grown
+            rows.append(tuple(row))
     return tuple(rows)
-
-
-def _adapted_from_steps(fld: Field, steps: Sequence[Sequence[Row]]) -> Tuple[Row, ...]:
-    state: List[Tuple[int, List[int]]] = []
-    out: List[Row] = []
-    for step in steps:
-        for row in step:
-            red = _reduce_against(fld, state, row)
-            if red is not None:
-                state.append(red)
-                out.append(tuple(row))
-    return tuple(out)
 
 
 def frobenius_flag(flag: Flag, q: int) -> Flag:
@@ -464,56 +520,58 @@ def _check_dims(n: int, dims: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _echelon_bases(
-    fld: Field, k: int, s: int, scalars: Optional[Sequence[int]] = None
-) -> Iterator[Tuple[Row, ...]]:
-    """All s x k reduced-echelon full-rank matrices, entries in `scalars`
-    (default: the whole field), in a fixed deterministic order."""
-    pool = tuple(range(fld.size)) if scalars is None else tuple(scalars)
+    pool: Sequence[int], cols: Sequence[int], n: int, s: int
+) -> Iterator[State]:
+    """Every s-dimensional subspace of the coordinates `cols` of an n-space,
+    with entries in `pool`, as the state of its reduced-echelon rows, in a
+    fixed deterministic order."""
+    k = len(cols)
     for pivs in combinations(range(k), s):
         free_pos = [
             [c for c in range(pivs[i] + 1, k) if c not in pivs] for i in range(s)
         ]
-        slots = [(i, c) for i in range(s) for c in free_pos[i]]
+        slots = [(i, cols[c]) for i in range(s) for c in free_pos[i]]
         for vals in iproduct(pool, repeat=len(slots)):
-            rows = [[0] * k for _ in range(s)]
+            rows = [[0] * n for _ in range(s)]
             for i in range(s):
-                rows[i][pivs[i]] = 1
+                rows[i][cols[pivs[i]]] = 1
             for (i, c), v in zip(slots, vals):
                 rows[i][c] = v
-            yield tuple(tuple(r) for r in rows)
+            yield tuple((cols[pivs[i]], tuple(rows[i])) for i in range(s))
 
 
-def _iter_step_tuples(
-    fld: Field, n: int, dims: Tuple[int, ...], cap: int
-) -> Iterator[Tuple[Tuple[Row, ...], ...]]:
+def _walk(fld: Field, n: int, dims: Tuple[int, ...], cap: int, enter, root) -> Iterator:
+    """Depth first over every flag of type dims (cap-checked first).
+
+    At depth k the node's new rows, lifted through the non-pivot
+    coordinates of V_{k-1}, extend its state to that of V_{dims[k]};
+    ``enter(k, rows, state, ctx)`` turns the parent's context into the
+    node's, which its whole subtree shares.  Yields the leaves' contexts.
+    """
     total = flag_count(n, dims, fld.size)
     if total > cap:
         raise CapacityError(
             f"flag family of type {dims} in dimension {n} over {fld!r} "
             f"has {total} members, exceeding cap {cap}"
         )
+    if not dims:
+        yield root
+        return
+    pool = tuple(range(fld.size))
+    last = len(dims) - 1
 
-    def rec(
-        prefix: Tuple[Tuple[Row, ...], ...], cur: Tuple[Row, ...], prev_dim: int, rest: Tuple[int, ...]
-    ) -> Iterator[Tuple[Tuple[Row, ...], ...]]:
-        if not rest:
-            yield prefix
-            return
-        d, tail = rest[0], rest[1:]
-        s = d - prev_dim
-        pivots = [next(i for i, x in enumerate(row) if x) for row in cur]
-        free = [c for c in range(n) if c not in pivots]
-        for qs in _echelon_bases(fld, n - prev_dim, s):
-            lifted = []
-            for u in qs:
-                row = [0] * n
-                for j, c in enumerate(free):
-                    row[c] = u[j]
-                lifted.append(tuple(row))
-            step = rref(fld, list(cur) + lifted)
-            yield from rec(prefix + (step,), step, d, tail)
+    def rec(depth: int, state: State, ctx) -> Iterator:
+        taken = {pv for pv, _row in state}
+        free = [c for c in range(n) if c not in taken]
+        for new in _echelon_bases(pool, free, n, dims[depth] - len(state)):
+            grown = state + new
+            child = enter(depth, [row for _pv, row in new], grown, ctx)
+            if depth == last:
+                yield child
+            else:
+                yield from rec(depth + 1, grown, child)
 
-    yield from rec((), (), 0, dims)
+    yield from rec(0, (), root)
 
 
 def iter_flags(
@@ -521,7 +579,11 @@ def iter_flags(
 ) -> Iterator[Flag]:
     """Generate every flag of the given type exactly once (cap-guarded)."""
     dims_t = _check_dims(n, dims)
-    for steps in _iter_step_tuples(fld, n, dims_t, cap):
+
+    def enter(depth, rows, state, steps):
+        return steps + (_reduced(fld, state),)
+
+    for steps in _walk(fld, n, dims_t, cap, enter, ()):
         yield Flag(field=fld, n=n, dims=dims_t, steps=steps)
 
 
@@ -583,57 +645,34 @@ def _normalize_perm(n: int, w: Union[str, Sequence[int]]) -> Tuple[int, ...]:
     return out
 
 
-def _relpos_steps(
-    fld: Field,
-    steps_f: Sequence[Sequence[Row]],
-    steps_g: Sequence[Sequence[Row]],
-    n: int,
-) -> Tuple[int, ...]:
-    """Relative position of two complete flags from their step rows.
+def _rank_frame(n: int) -> List[List[int]]:
+    """A matrix for rank(F_i + G_j), 0 <= i, j <= n, with its border filled:
+    max(i, j) when i or j is 0 or n."""
+    return [
+        [max(i, j) if min(i, j) == 0 or max(i, j) == n else 0 for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
 
-    Computes the full intersection-dimension matrix r[i][j] =
-    dim(F_i ^ G_j) by incremental rank over adapted bases, takes its
-    second difference, and reads off the permutation with w(j) = i at the
-    unique nonzero entry of column j.
+
+def _perm_from_ranks(rank: Sequence[Sequence[int]], n: int) -> Tuple[int, ...]:
+    """Relative position of two complete flags from rank(F_i + G_j).
+
+    The second difference of dim(F_i ^ G_j) = i + j - rank is a
+    permutation matrix; w(j) = i at the unique unit of column j.
     """
-    ag = _adapted_from_steps(fld, steps_g)
-    # echelon states of F_0 .. F_{n-1}
-    state: List[Tuple[int, List[int]]] = []
-    states_f: List[List[Tuple[int, List[int]]]] = [list(state)]
-    for step in steps_f:
-        for row in step:
-            red = _reduce_against(fld, state, row)
-            if red is not None:
-                state.append(red)
-        states_f.append(list(state))
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        r[n][j] = j
-    for i in range(n + 1):
-        r[i][n] = i
-    for i in range(n):
-        st = list(states_f[i])
-        rank = i
-        for j in range(1, n):
-            red = _reduce_against(fld, st, ag[j - 1])
-            if red is not None:
-                st.append(red)
-                rank += 1
-            r[i][j] = i + j - rank
     w = [-1] * n
-    for j in range(1, n + 1):
-        hit = None
-        for i in range(1, n + 1):
-            d = r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
+    for i in range(1, n + 1):
+        above, here = rank[i - 1], rank[i]
+        for j in range(1, n + 1):
+            d = above[j] + here[j - 1] - here[j] - above[j - 1]
             if d == 1:
-                if hit is not None:  # pragma: no cover
+                if w[j - 1] >= 0:  # pragma: no cover
                     raise AssertionError("relative position: non-permutation matrix")
-                hit = i
-            elif d not in (0, 1):  # pragma: no cover
+                w[j - 1] = i - 1
+            elif d != 0:  # pragma: no cover
                 raise AssertionError("relative position: bad second difference")
-        if hit is None:  # pragma: no cover
-            raise AssertionError("relative position: empty column")
-        w[j - 1] = hit - 1
+    if -1 in w:  # pragma: no cover
+        raise AssertionError("relative position: empty column")
     return tuple(w)
 
 
@@ -644,7 +683,18 @@ def relative_position(f: Flag, g: Flag) -> Tuple[int, ...]:
     full = complete_dims(f.n)
     if f.dims != full or g.dims != full:
         raise UsageError("relative position is defined for complete flags")
-    return _relpos_steps(f.field, f.steps, g.steps, f.n)
+    extend = _extender(f.field)
+    rank = _rank_frame(f.n)
+    f_state: State = ()
+    for i, f_step in enumerate(f.steps, 1):
+        for row in f_step:
+            f_state = extend(f_state, row)
+        state = f_state
+        for j, g_step in enumerate(g.steps, 1):
+            for row in g_step:
+                state = extend(state, row)
+            rank[i][j] = len(state)
+    return _perm_from_ranks(rank, f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +714,30 @@ def _tally_key(n: int, q: int, e: int) -> Tuple[int, int, int]:
 def _dl_tally_cached(n: int, q: int, e: int, cap: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     fld = build_extension(q, e)
     frob = fld.frob_map(q)
-    dims = complete_dims(n)
-    counts: Dict[Tuple[int, ...], int] = {}
-    for steps in _iter_step_tuples(fld, n, dims, cap):
-        fsteps = tuple(
-            rref(fld, [tuple(frob[x] for x in row) for row in step]) for step in steps
-        )
-        w = _relpos_steps(fld, steps, fsteps, n)
-        counts[w] = counts.get(w, 0) + 1
+    extend = _extender(fld)
+    rank = _rank_frame(n)  # rank(F_i + G_j), G = Frob(F); depth k writes max(i, j) = k
+
+    def enter(depth, rows, state, ctx):
+        # ctx: the states of F_i + G_{k-1} for i < k, and the images of b_1..b_{k-1}
+        sums, images = ctx
+        k = depth + 1
+        image = [frob[x] for x in rows[0]]
+        images = images + (image,)
+        nxt = []
+        for i, st in enumerate(sums):
+            st = extend(st, image)
+            rank[i][k] = len(st)
+            nxt.append(st)
+        st = state
+        for j, image_j in enumerate(images, 1):
+            st = extend(st, image_j)
+            rank[k][j] = len(st)
+        if k == n - 1:
+            return _perm_from_ranks(rank, n)
+        nxt.append(st)
+        return nxt, images
+
+    counts = Counter(_walk(fld, n, complete_dims(n), cap, enter, ([()], ())))
     return tuple(sorted(counts.items()))
 
 
@@ -784,58 +850,41 @@ def nu_jump_dims(nu: Sequence[int]) -> Tuple[int, ...]:
     return tuple(i + 1 for i in range(len(nu) - 1) if nu[i] > nu[i + 1])
 
 
-_SUBSPACE_CACHE: Dict[Tuple[int, int, int, int], Tuple[Tuple[Row, ...], ...]] = {}
+@lru_cache(maxsize=None)
+def _rational_subspaces(fld: Field, q: int, n: int) -> Tuple[State, ...]:
+    """The states of all proper subspaces of fld^n rational over GF(q)."""
+    scal = rational_scalars(fld, q)
+    return tuple(st for d in range(1, n) for st in _echelon_bases(scal, range(n), n, d))
 
 
-def _rational_proper_subspaces(fld: Field, q: int, n: int) -> Tuple[Tuple[Row, ...], ...]:
-    key = (fld.p, fld.k, q, n)
-    cached = _SUBSPACE_CACHE.get(key)
-    if cached is None:
-        scal = rational_scalars(fld, q)
-        out: List[Tuple[Row, ...]] = []
-        for d in range(1, n):
-            out.extend(_echelon_bases(fld, n, d, scal))
-        cached = tuple(out)
-        _SUBSPACE_CACHE[key] = cached
-    return cached
+def _slope_test(fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int):
+    """The semistability test as a walk: (enter, root) for ``_walk``.
 
+    The flag's graded piece between cuts i-1 and i has weight seg[i-1], so
+    deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]}).
+    A context holds (dim U, state of U + V_d, the sum so far) for every
+    rational proper U; the last depth returns whether no U has slope
+    deg U / dim U above the total slope sum(nu) / n.
+    """
+    extend = _extender(fld)
+    n, total = len(vnu), sum(vnu)
+    seg = [vnu[0]] + [vnu[d] for d in dims]
+    last = len(dims) - 1
 
-def _steps_semistable(
-    fld: Field,
-    vnu: Tuple[int, ...],
-    dims: Tuple[int, ...],
-    steps: Sequence[Sequence[Row]],
-    subspaces: Sequence[Tuple[Row, ...]],
-) -> bool:
-    n = len(vnu)
-    total_deg = sum(vnu)
-    seg_vals = [vnu[0]] + [vnu[d] for d in dims]  # value on each chain segment
-    cuts = (0,) + dims + (n,)
-    af = _adapted_from_steps(fld, steps)
-    for urows in subspaces:
-        du = len(urows)
-        state: List[Tuple[int, List[int]]] = []
-        for r in urows:
-            red = _reduce_against(fld, state, r)
-            if red is not None:
-                state.append(red)
-        # incremental dim(U ^ V_d) while walking the adapted basis of the flag
-        rank = du
-        dims_seen = [0]
-        for idx, row in enumerate(af):
-            red = _reduce_against(fld, state, row)
-            if red is not None:
-                state.append(red)
-                rank += 1
-            dims_seen.append(du + (idx + 1) - rank)
-        while len(dims_seen) <= n:
-            dims_seen.append(du)  # dim(U ^ V_n) = dim U
-        deg_u = 0
-        for i in range(1, len(cuts)):
-            deg_u += seg_vals[i - 1] * (dims_seen[cuts[i]] - dims_seen[cuts[i - 1]])
-        if deg_u * n > total_deg * du:  # slope(U) > slope(V), exactly
-            return False
-    return True
+    def enter(depth, rows, state, ctx):
+        d, w = dims[depth], seg[depth] - seg[depth + 1]
+        nxt = []
+        for du, ust, acc in ctx:
+            for row in rows:
+                ust = extend(ust, row)
+            acc += w * (du + d - len(ust))
+            if depth < last:
+                nxt.append((du, ust, acc))
+            elif (seg[-1] * du + acc) * n > total * du:
+                return False
+        return nxt if depth < last else True
+
+    return enter, [(len(u), u, 0) for u in _rational_subspaces(fld, q, n)]
 
 
 def semistable(nu, flag: Flag, q: int) -> bool:
@@ -847,7 +896,6 @@ def semistable(nu, flag: Flag, q: int) -> bool:
     exceeding the total slope.
     """
     vnu = _single_nu(nu)
-    fld = flag.field
     if len(vnu) != flag.n:
         raise UsageError(f"cocharacter length {len(vnu)} vs ambient {flag.n}")
     if nu_jump_dims(vnu) != flag.dims:
@@ -855,8 +903,12 @@ def semistable(nu, flag: Flag, q: int) -> bool:
             f"flag type {flag.dims} does not match cocharacter jumps {nu_jump_dims(vnu)}"
         )
     prime_power(q)
-    subspaces = _rational_proper_subspaces(fld, q, flag.n)
-    return _steps_semistable(fld, vnu, flag.dims, flag.steps, subspaces)
+    if not flag.dims:
+        return True  # the trivial flag
+    enter, ctx = _slope_test(flag.field, vnu, flag.dims, q)
+    for depth, step in enumerate(flag.steps):
+        ctx = enter(depth, step, None, ctx)
+    return ctx
 
 
 def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -870,9 +922,5 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     dims = nu_jump_dims(vnu)
     if not dims:
         return 1  # the trivial flag, vacuously semistable
-    subspaces = _rational_proper_subspaces(fld, q, n)
-    count = 0
-    for steps in _iter_step_tuples(fld, n, dims, cap):
-        if _steps_semistable(fld, vnu, dims, steps, subspaces):
-            count += 1
-    return count
+    enter, root = _slope_test(fld, vnu, dims, q)
+    return sum(_walk(fld, n, dims, cap, enter, root))

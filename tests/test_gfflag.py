@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 
@@ -11,6 +13,7 @@ from dlperiod.gfflag import (
     adapted_basis,
     build_extension,
     cochar,
+    complete_dims,
     coxeter_perm,
     dl_point_count,
     dl_point_tally,
@@ -284,3 +287,101 @@ def test_caps_are_enforced():
         period_point_count((1, 0, 0), 2, 3, cap=10)
     with pytest.raises(CapacityError):
         omega_point_count(3, 2, 3, cap=10)
+
+
+def test_field_primitive_elements_pinned():
+    # exp[1] is the smallest primitive element; every table hangs off it
+    pinned = {(2, 12): 3, (3, 5): 3, (3, 8): 38, (5, 5): 10, (7, 4): 12}
+    for (p, k), g in pinned.items():
+        fld = field_build(p, k)
+        assert fld.exp[1] == g
+        assert len(set(fld.exp)) == fld.size - 1
+
+
+def test_odd_characteristic_add_table_field_laws():
+    for p, k in [(3, 5), (5, 3)]:
+        fld = field_build(p, k)
+        n = fld.size
+
+        def digits(a):
+            return [(a // p**i) % p for i in range(k)]
+
+        for a in range(n):
+            da = digits(a)
+            assert fld.add(a, 0) == a and fld.add(a, fld.neg(a)) == 0
+            for b in range(n):
+                s = fld.add(a, b)
+                assert s == fld.add(b, a)
+                assert digits(s) == [(x + y) % p for x, y in zip(da, digits(b))]
+        grid = range(0, n, max(1, n // 9))
+        for a, b, c in iproduct(grid, repeat=3):
+            assert fld.add(fld.add(a, b), c) == fld.add(a, fld.add(b, c))
+            assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+
+
+@pytest.mark.parametrize("n,q,e", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
+def test_tally_matches_flagwise_relative_position(n, q, e):
+    # brute force: each flag against its rref'd Frobenius image
+    fld = build_extension(q, e)
+    brute = Counter(
+        relative_position(fl, frobenius_flag(fl, q))
+        for fl in enumerate_flags(fld, n, complete_dims(n))
+    )
+    assert dl_point_tally(n, q, e) == dict(brute)
+
+
+def _rational_subspace_rows(fld, n, q):
+    """Rows of every proper subspace fixed by the q-Frobenius."""
+    return [
+        sub.steps[0]
+        for du in range(1, n)
+        for sub in enumerate_flags(fld, n, (du,))
+        if frobenius_flag(sub, q) == sub
+    ]
+
+
+def _slope_oracle(nu, flag, rational):
+    """Semistability from first principles: intersections with the
+    rational subspaces come from rank(U + V)."""
+    fld, n = flag.field, flag.n
+    cuts = (0,) + flag.dims + (n,)
+    weights = [nu[0]] + [nu[d] for d in flag.dims]
+    for urows in rational:
+        du = len(urows)
+        inter = [0] + [
+            du + d - len(rref(fld, urows + step)) for d, step in zip(flag.dims, flag.steps)
+        ] + [du]
+        deg = sum(weights[i - 1] * (inter[i] - inter[i - 1]) for i in range(1, len(cuts)))
+        if deg * n > sum(nu) * du:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "nu,q,e", [((1, 1, 0), 3, 2), ((1, 0, 0, 0), 2, 2), ((2, 1, 0), 2, 2), ((1, 1, 0, 0), 2, 2)]
+)
+def test_period_count_matches_flagwise_slope_test(nu, q, e):
+    fld = build_extension(q, e)
+    flags = enumerate_flags(fld, len(nu), nu_jump_dims(nu))
+    rational = _rational_subspace_rows(fld, len(nu), q)
+    verdicts = [semistable(nu, fl, q) for fl in flags]
+    assert period_point_count(nu, q, e) == sum(verdicts)
+    assert verdicts == [_slope_oracle(nu, fl, rational) for fl in flags]
+
+
+def _omega_closed_form(n, q, e):
+    """Points off every GF(q)-rational hyperplane, by Moebius inversion over
+    the lattice of rational subspaces:
+    sum_k (-1)^(n-k) q^C(n-k,2) [n,k]_q q^(ek), divided by q^e - 1."""
+    big = q**e
+    total = sum(
+        (-1) ** (n - k) * q ** comb(n - k, 2) * gaussian_binomial(n, k, q) * big**k
+        for k in range(n + 1)
+    )
+    return total // (big - 1)
+
+
+@pytest.mark.parametrize("n,q,e,count", [(3, 2, 4, 168), (3, 2, 5, 840)])
+def test_coxeter_cell_matches_moebius_closed_form(n, q, e, count):
+    assert _omega_closed_form(n, q, e) == count
+    assert dl_point_count(n, q, e, coxeter_perm(n)) == count
