@@ -13,19 +13,27 @@ integer vectors.  The verdict chain applies four tests in a fixed order:
     words, pooled, use each generator orbit exactly once.
 
 Survivors are the Drinfeld-type cases; everything else is excluded with
-the first failing test as the reason.  The exhaustive scan enumerates all
-(w, nu) pairs below the given bounds and records every verdict.
+the first failing test as the reason.  The chain reads only the total
+length, the number of generators the pooled supports cover, and one
+(dim, side) pair per cocharacter factor, so one function `_verdict` decides
+every case.  The exhaustive scan enumerates all (w, nu) pairs below the
+given bounds: it computes (reduced word, length, support) once per group
+element and (dim, side) once per weakly decreasing vector, and joins them
+per record.  It raises CapacityError before building anything when the
+record count exceeds `gfflag.DEFAULT_ENUM_CAP`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement, product as iproduct
+from math import comb, factorial
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from . import UsageError
-from .gfflag import Cochar, cochar, nu_jump_dims, prime_power
+from . import CapacityError, UsageError
+from .gfflag import DEFAULT_ENUM_CAP, Cochar, cochar, nu_jump_dims, prime_power
 from .rootsys import build_root_system, parabolic_dim
-from .weyl import WeylElem, coxeter_length, enumerate_group, reduced_word, support, word_names
+from .weyl import WeylElem, enumerate_group, reduced_word, word_names
 
 __all__ = [
     "GroupSpec",
@@ -84,9 +92,7 @@ def _normalize_ws(spec: GroupSpec, ws) -> Tuple[WeylElem, ...]:
     rs = _factor_system(spec.n)
     for w in tup:
         if not isinstance(w, WeylElem) or w.rs is not rs:
-            raise UsageError(
-                f"factor elements must come from {rs}; got {w!r}"
-            )
+            raise UsageError(f"factor elements must come from {rs}; got {w!r}")
     return tup
 
 
@@ -101,17 +107,41 @@ def _normalize_nu(spec: GroupSpec, nu) -> Cochar:
     return cc
 
 
+def _elem_stats(w: WeylElem) -> Tuple[Tuple[str, ...], int, FrozenSet[int]]:
+    """(reduced word as names, length, support) of one factor element."""
+    rw = reduced_word(w)
+    return word_names(w.rs, rw), len(rw), frozenset(rw)
+
+
+def _pooled(stats) -> Tuple[int, int]:
+    """Total length of the factors, and how many generators their supports
+    cover together; `stats` holds one (word, length, support) per factor."""
+    lw, covered = 0, set()
+    for _, length, supp in stats:
+        lw += length
+        covered |= supp
+    return lw, len(covered)
+
+
+def _nu_stats(v: Tuple[int, ...]) -> Tuple[int, Optional[str]]:
+    """(dim, side) of one weakly decreasing vector.
+
+    dim is that of its partial flag variety, 0 when the vector is scalar.
+    side is 'lower' for shape (x, y, ..., y), 'upper' for (x, ..., x, y)
+    with x > y, None otherwise; for n = 2 the shapes coincide and count as
+    lower."""
+    n = len(v)
+    jumps = nu_jump_dims(v)
+    if not jumps:
+        return 0, None
+    side = "lower" if jumps == (1,) else "upper" if jumps == (n - 1,) else None
+    return parabolic_dim(_factor_system(n), jumps), side
+
+
 def pd_dimension(spec: GroupSpec, nu) -> int:
     """Dimension of the space attached to nu: scalar factors contribute 0,
     every other factor the dimension of its partial flag variety."""
-    cc = _normalize_nu(spec, nu)
-    rs = _factor_system(spec.n)
-    total = 0
-    for v in cc.nu:
-        jumps = nu_jump_dims(v)
-        if jumps:
-            total += parabolic_dim(rs, jumps)
-    return total
+    return sum(_nu_stats(v)[0] for v in _normalize_nu(spec, nu).nu)
 
 
 def res_coxeter_check(spec: GroupSpec, ws) -> bool:
@@ -121,110 +151,53 @@ def res_coxeter_check(spec: GroupSpec, ws) -> bool:
     hit every generator orbit exactly once (each orbit crosses the t
     factors, so pooling is the right notion of "once").
     """
-    tup = _normalize_ws(spec, ws)
-    total = sum(coxeter_length(w) for w in tup)
-    if total != spec.n - 1:
-        return False
-    covered: set = set()
-    for w in tup:
-        covered |= support(w)
-    return len(covered) == spec.n - 1
+    lw, covered = _pooled(_elem_stats(w) for w in _normalize_ws(spec, ws))
+    return lw == covered == spec.n - 1
 
 
-def _nonscalar_indices(cc: Cochar) -> List[int]:
-    return [i for i, v in enumerate(cc.nu) if len(set(v)) > 1]
-
-
-def _minuscule_side(n: int, v: Tuple[int, ...]) -> Optional[str]:
-    """'lower' for shape (x, y, ..., y), 'upper' for (x, ..., x, y); x > y.
-
-    For n = 2 the shapes coincide and count as lower."""
-    jumps = nu_jump_dims(v)
-    if jumps == (1,):
-        return "lower"
-    if jumps == (n - 1,):
-        return "upper"
-    return None
-
-
-def theorem_verdict(spec: GroupSpec, ws, nu) -> Verdict:
-    """Run the verdict chain on one (element tuple, cocharacter) pair."""
-    tup = _normalize_ws(spec, ws)
-    cc = _normalize_nu(spec, nu)
-    n, t = spec.n, spec.t
-    nonscalar = _nonscalar_indices(cc)
-    t1 = len(nonscalar)
-    lw = sum(coxeter_length(w) for w in tup)
-    dim_xn = pd_dimension(spec, cc)
-    r0 = spec.rank
+@lru_cache(maxsize=None)
+def _verdict(
+    n: int, t: int, lw: int, covered: int, nus: Tuple[Tuple[int, Optional[str]], ...]
+) -> Verdict:
+    """The verdict chain on total length lw, `covered` generators and one
+    (dim, side) pair per cocharacter factor.  Cached: records with equal
+    inputs share one (frozen) Verdict."""
+    r0 = n - 1
+    dim = sum(d for d, _ in nus)
+    sides = [s for d, s in nus if d]  # one per nonscalar factor
+    t1 = len(sides)
     chain = (
         ("length", lw),
-        ("dim", dim_xn),
+        ("dim", dim),
         ("rank_bound", r0),
         ("rank_times_nonscalar", r0 * t1),
     )
     if t1 == 0:
-        return Verdict(
-            outcome="excluded",
-            reason="central cocharacter: every factor is scalar",
-            n=n,
-            t=t,
-            chain=chain,
-        )
-    if lw != dim_xn:
-        return Verdict(
-            outcome="excluded",
-            reason=f"dimension test: length {lw} != dim {dim_xn}",
-            n=n,
-            t=t,
-            chain=chain,
-        )
-    if lw > r0:
-        return Verdict(
-            outcome="excluded",
-            reason=f"rank bound: length {lw} > rank {r0}",
-            n=n,
-            t=t,
-            chain=chain,
-        )
-    side: Optional[str] = None
-    if r0 * t1 != dim_xn or t1 != 1:
-        return Verdict(
-            outcome="excluded",
-            reason=(
-                f"rank-dimension test: rank*nonscalar {r0 * t1} != dim {dim_xn}"
-                if r0 * t1 != dim_xn
-                else f"rank-dimension test: {t1} nonscalar factors"
-            ),
-            n=n,
-            t=t,
-            chain=chain,
-        )
-    side = _minuscule_side(n, cc.nu[nonscalar[0]])
-    if side is None:
-        return Verdict(
-            outcome="excluded",
-            reason="shape test: nonscalar factor is not minuscule of end type",
-            n=n,
-            t=t,
-            chain=chain,
-        )
-    if not res_coxeter_check(spec, tup):
-        return Verdict(
-            outcome="excluded",
-            reason="twisted Coxeter test failed",
-            n=n,
-            t=t,
-            chain=chain,
-        )
-    return Verdict(
-        outcome="drinfeld_case",
-        reason=f"all tests passed; minuscule {side} end",
-        n=n,
-        t=t,
-        side=side,
-        chain=chain,
-    )
+        reason = "central cocharacter: every factor is scalar"
+    elif lw != dim:
+        reason = f"dimension test: length {lw} != dim {dim}"
+    elif lw > r0:
+        reason = f"rank bound: length {lw} > rank {r0}"
+    elif r0 * t1 != dim:
+        reason = f"rank-dimension test: rank*nonscalar {r0 * t1} != dim {dim}"
+    elif t1 != 1:
+        reason = f"rank-dimension test: {t1} nonscalar factors"
+    elif sides[0] is None:
+        reason = "shape test: nonscalar factor is not minuscule of end type"
+    elif covered != r0:  # lw == dim == r0 here, so this is res_coxeter_check
+        reason = "twisted Coxeter test failed"
+    else:
+        side = sides[0]
+        reason = f"all tests passed; minuscule {side} end"
+        return Verdict(outcome="drinfeld_case", reason=reason, n=n, t=t, side=side, chain=chain)
+    return Verdict(outcome="excluded", reason=reason, n=n, t=t, chain=chain)
+
+
+def theorem_verdict(spec: GroupSpec, ws, nu) -> Verdict:
+    """Run the verdict chain on one (element tuple, cocharacter) pair."""
+    lw, covered = _pooled(_elem_stats(w) for w in _normalize_ws(spec, ws))
+    nus = tuple(_nu_stats(v) for v in _normalize_nu(spec, nu).nu)
+    return _verdict(spec.n, spec.t, lw, covered, nus)
 
 
 @dataclass(frozen=True)
@@ -250,7 +223,9 @@ def classification_scan(
     Every factor tuple of symmetric-group elements is paired with every
     tuple of weakly decreasing cocharacter vectors with entries in
     [0, nu_bound].  q is recorded into the records (the verdict chain is
-    q-independent) after a prime-power sanity check.
+    q-independent) after a prime-power sanity check.  Raises
+    CapacityError before building anything when the scan would hold more
+    than `gfflag.DEFAULT_ENUM_CAP` records.
     """
     prime_power(q)
     if n_max < 2 or t_max < 1 or nu_bound < 0:
@@ -258,18 +233,31 @@ def classification_scan(
             f"need n_max >= 2, t_max >= 1, nu_bound >= 0; "
             f"got ({n_max}, {t_max}, {nu_bound})"
         )
+    sizes = accumulate(
+        (factorial(n) * comb(nu_bound + n, n)) ** t
+        for n in range(2, n_max + 1)
+        for t in range(1, t_max + 1)
+    )
+    total = next((size for size in sizes if size > DEFAULT_ENUM_CAP), None)
+    if total is not None:
+        raise CapacityError(
+            f"classification scan ({n_max}, {t_max}, {nu_bound}) needs at least "
+            f"{total} records, exceeding cap {DEFAULT_ENUM_CAP}"
+        )
     records: List[ScanRecord] = []
     for n in range(2, n_max + 1):
-        rs = _factor_system(n)
-        group = enumerate_group(rs)
+        elems = [_elem_stats(w) for w in enumerate_group(_factor_system(n))]
         nus = _decreasing_vectors(n, nu_bound)
+        stats = {v: _nu_stats(v) for v in nus}
         for t in range(1, t_max + 1):
-            spec = GroupSpec(n=n, t=t)
-            ccs = [cochar(*nu_tuple) for nu_tuple in iproduct(nus, repeat=t)]
-            for ws in iproduct(group, repeat=t):
-                words = tuple(word_names(rs, reduced_word(w)) for w in ws)
-                for cc in ccs:
-                    verdict = theorem_verdict(spec, ws, cc)
+            weights = [
+                (cochar(*vs), tuple(stats[v] for v in vs)) for vs in iproduct(nus, repeat=t)
+            ]
+            for fs in iproduct(elems, repeat=t):
+                words = tuple(f[0] for f in fs)
+                lw, covered = _pooled(fs)
+                for cc, nu_stats in weights:
+                    verdict = _verdict(n, t, lw, covered, nu_stats)
                     records.append(
                         ScanRecord(n=n, t=t, q=q, words=words, nu=cc, verdict=verdict)
                     )

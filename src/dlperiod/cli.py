@@ -274,9 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dlperiod",
         description="Exact root-system, feasibility, and point-count computations.",
+        allow_abbrev=False,
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        # no prefix matching: `--n` must not silently stand for `--nu`
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common(p, default_format="json"):
         p.add_argument(
@@ -286,29 +291,29 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format",
         )
 
-    p = sub.add_parser("roots", help="describe a root system")
+    p = command("roots", help="describe a root system")
     _add_type_args(p)
     p.add_argument("--parabolic-table", action="store_true", help="include per-node dims")
     common(p)
     p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("parabolic-table", help="per-node parabolic dimensions vs rank")
+    p = command("parabolic-table", help="per-node parabolic dimensions vs rank")
     _add_type_args(p, profile=False)
     common(p)
     p.set_defaults(func=_cmd_parabolic_table)
 
-    p = sub.add_parser("min-length", help="minimal twisted-class length of a word")
+    p = command("min-length", help="minimal twisted-class length of a word")
     _add_type_args(p)
     p.add_argument("--word", required=True, help="generator word, e.g. 't s1'")
     common(p)
     p.set_defaults(func=_cmd_min_length)
 
-    p = sub.add_parser("gp-list", help="list block representatives")
+    p = command("gp-list", help="list block representatives")
     _add_type_args(p, profile=False)
     common(p)
     p.set_defaults(func=_cmd_gp_list)
 
-    p = sub.add_parser("dl-criterion", help="decide the feasibility criterion for a word")
+    p = command("dl-criterion", help="decide the feasibility criterion for a word")
     _add_type_args(p)
     p.add_argument("--word", required=True)
     p.add_argument("--q", type=int, required=True)
@@ -316,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_dl_criterion)
 
-    p = sub.add_parser("gp-scan", help="criterion over all block representatives")
+    p = command("gp-scan", help="criterion over all block representatives")
     _add_type_args(p, profile=False)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", default="chamber_C", choices=("full_D", "chamber_C"))
     common(p)
     p.set_defaults(func=_cmd_gp_scan)
 
-    p = sub.add_parser("count-points", help="flags at a relative Frobenius position")
+    p = command("count-points", help="flags at a relative Frobenius position")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_count_points)
 
-    p = sub.add_parser("omega", help="points avoiding rational hyperplanes")
+    p = command("omega", help="points avoiding rational hyperplanes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_omega)
 
-    p = sub.add_parser("period-domain", help="semistable flag count for a cocharacter")
+    p = command("period-domain", help="semistable flag count for a cocharacter")
     p.add_argument("--nu", required=True, help="weakly decreasing ints, e.g. '1,0,0'")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_period_domain)
 
-    p = sub.add_parser("classify", help="scan (element, cocharacter) verdicts")
+    p = command("classify", help="scan (element, cocharacter) verdicts")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--q", type=int, required=True)

@@ -344,9 +344,7 @@ def _block_elems(datum: GPDatum, rs: RootSystem) -> List[WeylElem]:
     return out
 
 
-_GP_ELEM_CACHE: Dict[GPDatum, WeylElem] = {}
-
-
+@lru_cache(maxsize=None)
 def gp_element(datum: GPDatum) -> WeylElem:
     """The distinguished representative, word attached.
 
@@ -354,9 +352,6 @@ def gp_element(datum: GPDatum) -> WeylElem:
     signs, the shared sign ladder) and must commute pairwise; this is
     asserted because the whole construction rests on it.
     """
-    cached = _GP_ELEM_CACHE.get(datum)
-    if cached is not None:
-        return cached
     rs = gp_system(datum)
     blocks = _block_elems(datum, rs)
     for i in range(len(blocks)):
@@ -371,7 +366,6 @@ def gp_element(datum: GPDatum) -> WeylElem:
         out = from_word(rs, "tp")
     for blk in blocks:
         out = multiply(out, blk)
-    _GP_ELEM_CACHE[datum] = out
     return out
 
 

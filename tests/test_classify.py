@@ -1,6 +1,8 @@
+from itertools import groupby
+
 import pytest
 
-from dlperiod import UsageError
+from dlperiod import CapacityError, UsageError
 from dlperiod.classify import (
     GroupSpec,
     classification_scan,
@@ -133,3 +135,71 @@ def test_t1_survivors_satisfy_point_count_identity():
         perm = perm_from_word(r.n, " ".join(r.words[0]))
         assert dl_point_count(r.n, 2, 3, perm) == period_point_count(r.nu.nu[0], 2, 3), (
             r.words, r.nu.nu)
+
+
+def _oracle_verdict(rec):
+    """(outcome, reason, side, chain) of a scan record, from first principles.
+
+    The length is the inversion count of the permutation the record's swaps
+    give, the support holds s_i iff that permutation moves {1..i}, the
+    dimension of a factor is (n^2 - sum of squared block sizes) / 2 over its
+    blocks of equal entries, and the side is read off blocks (1, n-1) or
+    (n-1, 1)."""
+    n, r0 = rec.n, rec.n - 1
+    lw, covered = 0, set()
+    for word in rec.words:
+        perm = list(range(n))
+        for name in word:
+            i = int(name[1:])
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        lw += sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        covered |= {i for i in range(1, n) if set(perm[:i]) != set(range(i))}
+    dim, sides = 0, []
+    for v in rec.nu.nu:
+        blocks = [len(list(g)) for _, g in groupby(v)]
+        dim += (n * n - sum(b * b for b in blocks)) // 2
+        if len(blocks) > 1:
+            sides.append("lower" if blocks == [1, r0] else "upper" if blocks == [r0, 1] else None)
+    t1 = len(sides)
+    chain = (("length", lw), ("dim", dim), ("rank_bound", r0), ("rank_times_nonscalar", r0 * t1))
+    if t1 == 0:
+        return "excluded", "central cocharacter: every factor is scalar", None, chain
+    if lw != dim:
+        return "excluded", f"dimension test: length {lw} != dim {dim}", None, chain
+    if lw > r0:
+        return "excluded", f"rank bound: length {lw} > rank {r0}", None, chain
+    if r0 * t1 != dim:
+        return "excluded", f"rank-dimension test: rank*nonscalar {r0 * t1} != dim {dim}", None, chain
+    if t1 != 1:
+        return "excluded", f"rank-dimension test: {t1} nonscalar factors", None, chain
+    if sides[0] is None:
+        return "excluded", "shape test: nonscalar factor is not minuscule of end type", None, chain
+    if not lw == len(covered) == r0:
+        return "excluded", "twisted Coxeter test failed", None, chain
+    return "drinfeld_case", f"all tests passed; minuscule {sides[0]} end", sides[0], chain
+
+
+@pytest.mark.parametrize("args", [(3, 2, 2, 2), (4, 1, 2, 2)])
+def test_scan_verdicts_match_first_principles_oracle(args):
+    recs = classification_scan(*args)
+    for r in recs:
+        v = r.verdict
+        assert (v.n, v.t) == (r.n, r.t)
+        assert (v.outcome, v.reason, v.side, v.chain) == _oracle_verdict(r), (r.words, r.nu.nu)
+    # A nonscalar factor has dim >= n - 1, with equality only for the two end
+    # shapes, so the rank-dimension and shape tests never decide in a scan.
+    assert {r.verdict.reason.split(":")[0] for r in recs} == {
+        "central cocharacter",
+        "dimension test",
+        "rank bound",
+        "twisted Coxeter test failed",
+        "all tests passed; minuscule lower end",
+        "all tests passed; minuscule upper end",
+    }
+
+
+def test_scan_cap():
+    # (n! * C(b + n, n))^t summed: 6,486,696 records, refused before any is built
+    with pytest.raises(CapacityError, match="6486696"):
+        classification_scan(5, 2, 2, 2)
+    assert len(classification_scan(4, 2, 2, 2)) == 133776

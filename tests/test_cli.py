@@ -141,6 +141,20 @@ def test_argparse_rejects_unknown_command():
         cli.main(["no-such-command"])
 
 
+def test_option_prefixes_are_not_expanded(capsys):
+    # `--n` is a prefix of period-domain's `--nu`; it must not be taken for it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["period-domain", "--n", "3", "--q", "2", "--e", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_classify_over_cap_exits_2(capsys):
+    code, out, err = run(capsys, "classify", "--n-max", "5", "--t-max", "2",
+                         "--q", "2", "--nu-bound", "2")
+    assert code == 2 and out == "" and "6486696" in err
+
+
 def test_module_entry_point_matches_cli_main(capsys):
     argv = ["dl-criterion", "--type", "B3", "--profile", "paper5",
             "--word", "t s1", "--q", "2"]
