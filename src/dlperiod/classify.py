@@ -3,14 +3,17 @@
 A group datum is `t` copies of PGL_n treated as one group whose factors
 are cyclically rotated by the twist; its combined element is a tuple of
 symmetric-group elements, its cocharacter a tuple of weakly decreasing
-integer vectors.  The verdict chain applies four tests in a fixed order:
+integer vectors.  The verdict chain applies three tests in a fixed order:
 
 (a) the word length must equal the dimension of the attached space,
-(b) the length must not exceed the (diagonal) rank n-1,
-(c) the dimension must equal (n-1) * (number of nonscalar factors) with
-    the single nonscalar factor minuscule of end type, and
-(d) the element must be a twisted Coxeter element: its factors' reduced
+(b) the length must not exceed the (diagonal) rank n-1, and
+(c) the element must be a twisted Coxeter element: its factors' reduced
     words, pooled, use each generator orbit exactly once.
+
+Every nonscalar factor has dimension >= n-1, with equality only for the
+two minuscule end shapes (x, y, ..., y) and (x, ..., x, y).  So once (a)
+and (b) pass, the dimension is n-1 and exactly one factor is nonscalar,
+of end shape; the chain asserts this rather than testing it.
 
 Survivors are the Drinfeld-type cases; everything else is excluded with
 the first failing test as the reason.  The chain reads only the total
@@ -178,12 +181,10 @@ def _verdict(
         reason = f"dimension test: length {lw} != dim {dim}"
     elif lw > r0:
         reason = f"rank bound: length {lw} > rank {r0}"
-    elif r0 * t1 != dim:
-        reason = f"rank-dimension test: rank*nonscalar {r0 * t1} != dim {dim}"
-    elif t1 != 1:
-        reason = f"rank-dimension test: {t1} nonscalar factors"
-    elif sides[0] is None:
-        reason = "shape test: nonscalar factor is not minuscule of end type"
+    elif not (r0 * t1 <= dim <= r0 and sides[0] is not None):  # pragma: no cover
+        # every nonscalar factor has dim >= n - 1, with equality only for
+        # the two end shapes; so here t1 = 1, dim = r0 and the shape is an end
+        raise AssertionError(f"nonscalar factors {nus} below the dimension bound")
     elif covered != r0:  # lw == dim == r0 here, so this is res_coxeter_check
         reason = "twisted Coxeter test failed"
     else:

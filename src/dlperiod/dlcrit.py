@@ -35,7 +35,7 @@ from .feaslin import (
     verify_witness,
 )
 from .linalg import Vector, integerize
-from .rootsys import LinearForm, build_root_system, form_label
+from .rootsys import LinearForm, build_root_system
 from .weyl import WeylElem, inverse, inversions, reduced_word
 
 __all__ = [
@@ -86,25 +86,24 @@ def build_criterion_system(w: WeylElem, q: int, mode: str = "full_D") -> StrictS
 
     Region forms come first (labelled ``inv:`` or ``base:``), then one
     ``crit:`` form per standard simple root with coefficients
-    q*alpha - w^{-1}(alpha).
+    q*alpha - w^{-1}(alpha).  Forms are built from the doubled integer
+    roots over the denominator 2; their Fractions and labels are made only
+    when read.
     """
     _check_q(q)
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     wb, rs = _standard_twin(w)
-    forms: List[LinearForm] = []
+    dbl = rs.doubled
     if mode == "full_D":
-        for i in inversions(wb):
-            root = rs.positive_roots[i]
-            forms.append(LinearForm(coeffs=root, label=f"inv:{form_label(root)}"))
+        forms = [LinearForm.over(dbl[i], 2, "inv:") for i in inversions(wb)]
     else:
-        for root in rs.simple_roots:
-            forms.append(LinearForm(coeffs=root, label=f"base:{form_label(root)}"))
+        forms = [LinearForm.over(dbl[i], 2, "base:") for i in rs.base_idx]
     winv = inverse(wb).perm
-    for root, i in zip(rs.simple_roots, rs.base_idx):
-        winv_root = rs.roots[winv[i]]
-        coeffs = tuple(q * a - b for a, b in zip(root, winv_root))
-        forms.append(LinearForm(coeffs=coeffs, label=f"crit:{form_label(root)}"))
+    for i in rs.base_idx:
+        a = dbl[i]
+        coeffs = tuple(q * x - y for x, y in zip(a, dbl[winv[i]]))
+        forms.append(LinearForm.over(coeffs, 2, "crit:", a))
     return StrictSystem(forms=tuple(forms))
 
 

@@ -8,14 +8,18 @@ produces it explicitly:
 * a rational witness x (returned scaled to a primitive integer vector), or
 * a certificate y >= 0, y != 0, with sum_i y_i f_i = 0.
 
-The decision procedure is one exact Phase-I simplex on the Gordan side:
-each form is scaled to integers by a positive factor, and the LP
-"sum_i y_i f_i = 0, sum_i y_i = 1, y >= 0" is solved from an all-artificial
-basis by fraction-free integer pivoting (Edmonds / Bareiss) with Bland's
-rule (Bland, Math. Oper. Res. 2, 1977).  An optimum of 0 gives y, which
-times the form scales is the certificate; a positive optimum gives Phase-I
-duals u with f_i . u < 0 for every i, so x = -u is a witness.  Both
-outcomes are re-verified exactly before being returned.
+Forms arrive as integers over a positive denominator (`LinearForm.num` /
+`LinearForm.den`), so the positive rescaling to integers happens when a
+form is built, and solving and verifying run on integers only.  The
+decision procedure is one exact Phase-I simplex on the Gordan side: each
+form's integers are divided by their gcd, and the LP "sum_i y_i f_i = 0,
+sum_i y_i = 1, y >= 0" is solved from an all-artificial basis by
+fraction-free integer pivoting (Edmonds / Bareiss) with Bland's rule
+(Bland, Math. Oper. Res. 2, 1977).  An optimum of 0 gives y, which times
+the form scales is the certificate; a positive optimum gives Phase-I duals
+u with f_i . u < 0 for every i, so x = -u is a witness.  Both outcomes are
+re-verified exactly, with integer dot products and sums, before being
+returned as Fraction tuples.
 """
 from __future__ import annotations
 
@@ -25,8 +29,8 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import UsageError
-from .linalg import Vector, integerize, is_zero, vec
-from .rootsys import LinearForm, form_label
+from .linalg import Vector, common_denominator, integerize, vec
+from .rootsys import LinearForm
 
 __all__ = [
     "FeasibilityResult",
@@ -46,10 +50,10 @@ class StrictSystem:
 
     @property
     def dim(self) -> int:
-        return len(self.forms[0].coeffs) if self.forms else 0
+        return len(self.forms[0].num) if self.forms else 0
 
     def __post_init__(self):
-        dims = {len(f.coeffs) for f in self.forms}
+        dims = {len(f.num) for f in self.forms}
         if len(dims) > 1:
             raise UsageError(f"mixed form dimensions in system: {sorted(dims)}")
         if self.forms and self.dim == 0:
@@ -63,8 +67,8 @@ def strict_system(forms: Iterable[Union[LinearForm, Sequence]], ) -> StrictSyste
         if isinstance(f, LinearForm):
             out.append(f)
         else:
-            coeffs = vec(f)
-            out.append(LinearForm(coeffs=coeffs, label=form_label(coeffs)))
+            num, den = common_denominator(vec(f))
+            out.append(LinearForm.over(num, den))
     return StrictSystem(forms=tuple(out))
 
 
@@ -75,23 +79,30 @@ class FeasibilityResult:
     certificate: Optional[Vector] = None  # y >= 0, y != 0, sum y_i f_i = 0
 
 
-def verify_witness(system: StrictSystem, x: Vector) -> bool:
+def verify_witness(system: StrictSystem, x: Sequence) -> bool:
+    """True when every form is positive at x (ints or Fractions)."""
     if len(x) != system.dim and system.forms:
         return False
-    return all(f.evaluate(x) > 0 for f in system.forms)
+    xs, _ = common_denominator(x)  # a positive multiple of x
+    return all(sum(a * b for a, b in zip(f.num, xs)) > 0 for f in system.forms)
 
 
-def verify_certificate(system: StrictSystem, y: Vector) -> bool:
+def verify_certificate(system: StrictSystem, y: Sequence) -> bool:
+    """True when y >= 0, y != 0 and sum_i y_i f_i = 0 (ints or Fractions)."""
     if len(y) != len(system.forms) or not system.forms:
         return False
-    if any(c < 0 for c in y) or all(c == 0 for c in y):
+    ys, _ = common_denominator(y)  # a positive multiple of y
+    if any(c < 0 for c in ys) or not any(ys):
         return False
-    d = system.dim
-    comb = [Q(0)] * d
-    for c, f in zip(y, system.forms):
-        for i in range(d):
-            comb[i] += c * f.coeffs[i]
-    return all(v == 0 for v in comb)
+    # the combination times the lcm of the form denominators
+    den = lcm(*(f.den for f in system.forms))
+    comb = [0] * system.dim
+    for c, f in zip(ys, system.forms):
+        if c:
+            c *= den // f.den
+            for i, a in enumerate(f.num):
+                comb[i] += c * a
+    return not any(comb)
 
 
 def _phase_one(cols: List[List[int]], d: int):
@@ -170,29 +181,30 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     d = system.dim
 
     cols: List[List[int]] = []
-    scales: List[Q] = []
+    scales: List[Tuple[int, int]] = []
     for i, f in enumerate(system.forms):
-        if is_zero(f.coeffs):
+        g = gcd(*f.num)
+        if g == 0:
             # 0 > 0 is its own refutation
             cert = tuple(Q(1) if j == i else Q(0) for j in range(m))
             if not verify_certificate(system, cert):  # pragma: no cover
                 raise AssertionError("certificate failed exact re-verification")
             return FeasibilityResult(feasible=False, certificate=cert)
-        den = lcm(*(c.denominator for c in f.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-        g = gcd(*ints)
-        cols.append([v // g for v in ints])  # f scaled by den / g > 0
-        scales.append(Q(den, g))
+        cols.append([v // g for v in f.num])  # f scaled by den / g > 0
+        scales.append((f.den, g))
 
     tab, basis, det = _phase_one(cols, d)
     rhs = m + d + 1
     if tab[-1][rhs] == 0:
-        # a convex combination of the scaled forms vanishes
-        y = [Q(0)] * m
-        for i, j in enumerate(basis):
-            if j < m:
-                y[j] = tab[i][rhs] * scales[j]
-        cert = integerize(tuple(y))
+        # a convex combination of the scaled forms vanishes; y_j is
+        # tab[i][rhs] * den_j / g_j, cleared by the lcm of the basic g_j
+        basic = [(j, tab[i][rhs]) for i, j in enumerate(basis) if j < m]
+        lg = lcm(*(scales[j][1] for j, _ in basic))
+        y = [0] * m
+        for j, t in basic:
+            den, g = scales[j]
+            y[j] = t * den * (lg // g)
+        cert = integerize(y)
         if not verify_certificate(system, cert):  # pragma: no cover
             raise AssertionError("certificate failed exact re-verification")
         return FeasibilityResult(feasible=False, certificate=cert)
@@ -200,7 +212,7 @@ def strict_feasible(system: StrictSystem) -> FeasibilityResult:
     # optimum > 0: the duals u of the d equality rows give g_i . u < 0 for
     # every form; the artificial column of row k has reduced cost 1 - u_k
     obj = tab[-1]
-    witness = integerize(tuple(Q(obj[m + k] - det) for k in range(d)))
+    witness = integerize([obj[m + k] - det for k in range(d)])
     if not verify_witness(system, witness):  # pragma: no cover
         raise AssertionError("witness failed exact re-verification")
     return FeasibilityResult(feasible=True, witness=witness)

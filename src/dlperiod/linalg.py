@@ -3,12 +3,16 @@
 Vectors are immutable tuples of Fractions, matrices are tuples of row
 vectors.  Everything here is dimension-checked and exact; there is no
 pivoting heuristics beyond "first nonzero", which is fine for exact
-arithmetic.
+arithmetic.  What is left serves the Weyl matrices and reflections
+(`weyl`, `rootsys`) and the Fraction boundary of the integer criterion
+forms: `common_denominator` turns rational input into integers over one
+denominator, and `integerize` turns an integer direction into the
+primitive Fraction vector that is shown.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -47,10 +51,6 @@ def scale(c, a: Vector) -> Vector:
     return tuple(cq * x for x in a)
 
 
-def is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
 def matvec(m: Matrix, x: Vector) -> Vector:
     return tuple(dot(row, x) for row in m)
 
@@ -75,7 +75,7 @@ def span_solver(basis: Sequence[Vector]) -> Callable[[Vector], Optional[Vector]]
     """
     k = len(basis)
     if k == 0:
-        return lambda target: () if is_zero(target) else None
+        return lambda target: None if any(target) else ()
     n = len(basis[0])
     rows = [
         [basis[j][i] for j in range(k)]
@@ -109,15 +109,20 @@ def span_solver(basis: Sequence[Vector]) -> Callable[[Vector], Optional[Vector]]
     return solve
 
 
-def integerize(a: Vector) -> Vector:
-    """Scale by a positive rational so entries are coprime integers."""
-    if is_zero(a):
-        return a
-    denom_lcm = 1
-    for x in a:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+def common_denominator(a: Sequence) -> Tuple[Tuple[int, ...], int]:
+    """Integers `num` and the least positive `den` with a == num / den.
+
+    Entries may be ints or Fractions; no Fraction is made.
+    """
+    den = lcm(*(x.denominator for x in a))
+    return tuple(x.numerator * (den // x.denominator) for x in a), den
+
+
+def integerize(a: Sequence) -> Vector:
+    """Scale by a positive rational so entries are coprime integers.
+
+    Entries may be ints or Fractions; the result is a Fraction tuple.
+    """
+    ints, _ = common_denominator(a)
+    g = gcd(*ints) or 1
     return tuple(Q(v // g) for v in ints)

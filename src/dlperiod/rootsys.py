@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import UsageError
-from .linalg import Vector, dot, scale, sub, vec
+from .linalg import Vector, common_denominator, dot, scale, sub, vec
 
 __all__ = [
     "KINDS",
@@ -51,6 +51,8 @@ __all__ = [
     "reflect",
     "weyl_order",
 ]
+
+IntVector = Tuple[int, ...]
 
 KINDS = ("A", "B", "C", "D", "E", "F", "G")
 PROFILES = ("bourbaki", "paper5")
@@ -100,15 +102,58 @@ def weyl_order(kind: str, rank: int) -> int:
     return 12  # G2
 
 
-@dataclass(frozen=True)
 class LinearForm:
-    """A strict linear condition `coeffs . x > 0` with a human-readable label."""
+    """A strict linear condition `coeffs . x > 0` with a human-readable label.
 
-    coeffs: Vector
-    label: str = ""
+    The coefficients are held as an integer tuple `num` over a positive
+    integer `den` (coeffs = num / den), which is all that solving and
+    verifying read.  The Fraction tuple `coeffs` and the `label` are made on
+    first access.  `LinearForm(coeffs, label)` takes rational coefficients;
+    :meth:`over` builds a form from integers with a lazy label.
+    """
 
-    def evaluate(self, x: Vector) -> Q:
-        return dot(self.coeffs, x)
+    __slots__ = ("num", "den", "_coeffs", "_label", "_prefix", "_named")
+
+    def __init__(self, coeffs: Iterable, label: str = ""):
+        self._coeffs = vec(coeffs)
+        self.num, self.den = common_denominator(self._coeffs)
+        self._label, self._prefix, self._named = label, "", self.num
+
+    @classmethod
+    def over(
+        cls, num: IntVector, den: int, prefix: str = "", named: Optional[IntVector] = None
+    ) -> LinearForm:
+        """The form num / den, labelled `prefix` plus the expression of
+        named / den (default: the form itself)."""
+        f = cls.__new__(cls)
+        f.num, f.den = num, den
+        f._coeffs = f._label = None
+        f._prefix, f._named = prefix, num if named is None else named
+        return f
+
+    @property
+    def coeffs(self) -> Vector:
+        if self._coeffs is None:
+            self._coeffs = tuple(Q(x, self.den) for x in self.num)
+        return self._coeffs
+
+    @property
+    def label(self) -> str:
+        if self._label is None:
+            named = tuple(Q(x, self.den) for x in self._named)
+            self._label = self._prefix + form_label(named)
+        return self._label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.label) == (other.coeffs, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.label))
+
+    def __repr__(self) -> str:
+        return f"LinearForm(coeffs={self.coeffs!r}, label={self.label!r})"
 
 
 def form_label(coeffs: Vector) -> str:
@@ -147,9 +192,8 @@ class RootSystem:
     # roots are exactly `simple_roots`' reflections (differs from
     # positive_roots only for paper5 B/D)
     trace_zero: bool  # paper5-A chamber lives in the sum-zero hyperplane
-    # root numbering (see the module docstring): index -> root, exact and doubled
-    roots: Tuple[Vector, ...] = field(repr=False, default=())
-    doubled: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
+    # root numbering (see the module docstring): index -> doubled root
+    doubled: Tuple[IntVector, ...] = field(repr=False, default=())
     # generator g sends root i to root gen_perms[g][i]
     gen_perms: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
     # index of each generator's simple root in the Coxeter-positive system
@@ -227,9 +271,6 @@ def _paper5_simples(kind: str, rank: int) -> Tuple[Tuple[Vector, ...], Tuple[str
     # kind D
     extra = vec([1, 1] + [0] * (rank - 2))
     return (extra, *chain), ("tp", *n_names)
-
-
-IntVector = Tuple[int, ...]
 
 
 def _doubled(vs: Iterable[Vector]) -> Tuple[IntVector, ...]:
@@ -364,7 +405,6 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         pos_coords=coords,
         coxeter_positive_roots=tuple(roots[i] for i in cox_idx),
         trace_zero=trace_zero,
-        roots=roots,
         doubled=doubled,
         gen_perms=tuple(_reflection_perm(doubled, index, a) for a in base),
         base_idx=tuple(index[a] for a in base),

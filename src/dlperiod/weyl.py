@@ -180,7 +180,7 @@ def _matrix_frame(kind: str, rank: int) -> _MatrixFrame:
 
 
 def identity_elem(rs: RootSystem) -> WeylElem:
-    return WeylElem(rs, tuple(range(len(rs.roots))), ())
+    return WeylElem(rs, tuple(range(len(rs.doubled))), ())
 
 
 def generator(rs: RootSystem, pos: int) -> WeylElem:
@@ -266,7 +266,7 @@ def from_word(rs: RootSystem, word: WordLike) -> WeylElem:
     w = from_word(rs, "t s1") the action on a vector x is t(s1(x)).
     """
     positions = parse_word(rs, word)
-    p = tuple(range(len(rs.roots)))
+    p = tuple(range(len(rs.doubled)))
     for g in positions:
         p = compose(p, rs.gen_perms[g])
     return WeylElem(rs, p, positions)
@@ -383,7 +383,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylEl
     base = rs.base_idx
     gen_keys = [tuple(gp[b] for b in base) for gp in rs.gen_perms]
     seen = {base}
-    perms: List[Perm] = [tuple(range(len(rs.roots)))]
+    perms: List[Perm] = [tuple(range(len(rs.doubled)))]
     words: List[Word] = [()]
     head = 0
     while head < len(perms):

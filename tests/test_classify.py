@@ -1,10 +1,11 @@
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 
 import pytest
 
 from dlperiod import CapacityError, UsageError
 from dlperiod.classify import (
     GroupSpec,
+    _nu_stats,
     classification_scan,
     pd_dimension,
     res_coxeter_check,
@@ -64,12 +65,14 @@ def test_verdict_cases():
     assert up.is_case and up.side == "upper"
     central = theorem_verdict(GroupSpec(4), identity_elem(RS4), (2, 2, 2, 2))
     assert central.outcome == "excluded" and "scalar" in central.reason
-    # length exceeding the rank
+    # length 6 against dim 5: the dimension test decides before the rank bound
     long = theorem_verdict(GroupSpec(4), from_word(RS4, "s1 s2 s1 s3 s2 s1"), (2, 1, 0, 0))
     assert long.outcome == "excluded"
-    # right dimension but a non-minuscule shape: n=4, nu jumps (1,3), dim 5
+    assert long.reason == "dimension test: length 6 != dim 5"
+    # length equal to the dimension (nu jumps (1,3), dim 5) but above the rank 3
     sh = theorem_verdict(GroupSpec(4), from_word(RS4, "s1 s2 s1 s3 s2"), (2, 1, 1, 0))
     assert sh.outcome == "excluded"
+    assert sh.reason == "rank bound: length 5 > rank 3"
     # twisted test: correct length and shape but scattered support
     tw = theorem_verdict(GroupSpec(4), from_word(RS4, "s1 s2 s1"), (1, 0, 0, 0))
     assert tw.outcome == "excluded"
@@ -81,9 +84,23 @@ def test_two_factor_verdicts():
     nu = ((1, 0, 0), (1, 1, 1))
     v = theorem_verdict(two, ws, nu)
     assert v.is_case and v.side == "lower"
-    # same data with the nonscalar weight on both factors: t1 fails
+    # the nonscalar weight on both factors doubles the dimension to 4
     v2 = theorem_verdict(two, ws, ((1, 0, 0), (1, 0, 0)))
     assert v2.outcome == "excluded"
+    assert v2.reason == "dimension test: length 2 != dim 4"
+
+
+def test_nonscalar_weights_have_dim_at_least_rank():
+    # the fact that lets the verdict chain assert, not test, the dimension
+    # and shape once the dimension test and the rank bound pass
+    for n in range(2, 9):
+        for v in combinations_with_replacement(range(2, -1, -1), n):
+            dim, side = _nu_stats(v)
+            if len(set(v)) == 1:
+                assert (dim, side) == (0, None), v
+            else:
+                assert dim >= n - 1, v
+                assert (side is not None) == (dim == n - 1), v
 
 
 def test_scan_small_frozen():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -167,3 +168,39 @@ def test_module_entry_point_matches_cli_main(capsys):
     )
     assert proc.returncode == code == 0
     assert proc.stdout == expected.encode()
+
+
+# sha256 of stdout per format, frozen from the Fraction-form implementation;
+# the integer forms must print the same bytes
+GOLDEN = [
+    (("dl-criterion", "--type", "B", "--rank", "5", "--profile", "paper5",
+      "--word", "3 4 1 5", "--q", "4", "--mode", "full_D"),
+     {"json": "dc4723a5abeb0653311ce2b2a6e48b9848820c2d8056159c64145f5cf5e3206f",
+      "tsv": "d9c32dcced5779ca2c262eac261f1ed704bb10923a948567bcaa2b75200dbbe8",
+      "pretty": "f02a85808939afd19ef28b623ad7925b0b1be6de340da659bf253fd7412a2f81"}),
+    (("dl-criterion", "--type", "E", "--rank", "8", "--word", "1 3 4 2 5 6 7 8 4", "--q", "2"),
+     {"json": "e3f8a57b425137441aba8e3511f000506c390fcdaeb5592a594d03da6672c119",
+      "tsv": "adb245c88ccdc621c3261e958c580b9b005d0471dc53012da98154fbb6d4a4e8",
+      "pretty": "1743f628e47cf5203ace99a9e10a251597999cbdcc2b86160a8afcfc00a616ee"}),
+    (("dl-criterion", "--type", "F", "--rank", "4", "--word", "1 2 1 3 2 3 4 3", "--q", "2",
+      "--mode", "chamber_C"),
+     {"json": "af64402d5cdd53825ff3ec36afa15356227341ec664a743fc0981e06295957ad",
+      "tsv": "a9266074e561b5c3a62c382d8658a5b1539777f2eaa1a5d46338867f7ae5fc51",
+      "pretty": "2547aace49ee2e0e9ee647b000b8ae7b8c2051504c8d0e4bf9a48605a3a66e0a"}),
+    (("dl-criterion", "--type", "G", "--rank", "2", "--word", "1 2", "--q", "3"),
+     {"json": "66a26b916edb1b3e03ea6ae390897f85033c5d574fbe35c613a126bd4cf965af",
+      "tsv": "7ff6aa2ea91455ae010cf31881db19169bdec2fdf86b92992ff3fc4f6cc19802",
+      "pretty": "2297a627fdb890e052a7f504013742290934bad7875f8311daa5701df9a1a759"}),
+    (("gp-scan", "--type", "D", "--rank", "5", "--q", "3"),
+     {"json": "99540c48dfee8346295472b2dadb406d001d61fdb884d102670f2db9370e4997",
+      "tsv": "92407b41ca7f78a13738b2d6f238937bbcea66a60a4a1b69db82e5c9c2ae7f92",
+      "pretty": "da0bbd9d5c75cc07ed2e769e2f5e2e1f3e545e7ca2c731874524821cbf5dc62b"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN, ids=[" ".join(a[:3]) for a, _ in GOLDEN])
+def test_criterion_stdout_is_frozen(capsys, argv, digests):
+    for fmt, digest in digests.items():
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -13,8 +14,15 @@ from dlperiod.dlcrit import (
     scan_gp,
 )
 from dlperiod.feaslin import verify_witness
-from dlperiod.rootsys import build_root_system
-from dlperiod.weyl import enumerate_group, from_word, identity_elem, reduced_word, word_names
+from dlperiod.rootsys import build_root_system, form_label
+from dlperiod.weyl import (
+    enumerate_group,
+    from_word,
+    identity_elem,
+    inverse,
+    reduced_word,
+    word_names,
+)
 
 G2_Q2_INFEASIBLE = {("s1", "s2", "s1"), ("s2", "s1", "s2")}
 
@@ -141,3 +149,50 @@ def test_report_payload_is_json_ready():
         report_payload(check_dl_criterion(from_word(rs, "s1"), 2, "full_D")),
         sort_keys=True,
     )
+
+
+def _image(matrix, root):
+    return tuple(sum((m * x for m, x in zip(row, root) if m and x), Q(0)) for row in matrix)
+
+
+def _recipe_forms(w):
+    """Criterion forms of w from their definition, in Fractions: a map from
+    (q, mode) to the (label prefix, labelled root, coeffs) of each form.
+    The region is the standard positive roots that w makes negative
+    (full_D) or the standard simple roots (chamber_C); each crit form is
+    q*alpha - w^{-1}(alpha)."""
+    std = build_root_system(w.rs.kind, w.rs.rank)
+    positive, wm, winv = set(std.positive_roots), w.matrix, inverse(w).matrix
+    region = {
+        "full_D": [("inv:", b, b) for b in std.positive_roots if _image(wm, b) not in positive],
+        "chamber_C": [("base:", a, a) for a in std.simple_roots],
+    }
+    pulled = [(a, _image(winv, a)) for a in std.simple_roots]
+    return lambda q, mode: region[mode] + [
+        ("crit:", a, tuple(q * x - y for x, y in zip(a, b))) for a, b in pulled
+    ]
+
+
+def test_forms_match_their_definition():
+    # seeded words in every kind, both profiles where defined, including the
+    # half-integer roots of E and F and the G2 model
+    rng = random.Random(6)
+    cells = ([("A", r) for r in range(1, 9)] + [("B", r) for r in (2, 3, 5)]
+             + [("C", r) for r in (3, 4)] + [("D", r) for r in (4, 5)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    for kind, rank in cells:
+        for profile in ("bourbaki", "paper5") if kind in "ABD" else ("bourbaki",):
+            rs = build_root_system(kind, rank, profile)
+            for _ in range(3):
+                word = [rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))]
+                w = from_word(rs, word)
+                recipe = _recipe_forms(w)
+                for q in (2, 3, 5):
+                    for mode in ("full_D", "chamber_C"):
+                        forms = build_criterion_system(w, q, mode).forms
+                        expected = recipe(q, mode)
+                        where = (kind, rank, profile, word, q, mode)
+                        assert len(forms) == len(expected), where
+                        for f, (prefix, root, coeffs) in zip(forms, expected):
+                            assert f.coeffs == coeffs, where
+                            assert f.label == prefix + form_label(root), where

@@ -92,6 +92,27 @@ def test_verifiers_reject_garbage():
     assert not verify_certificate(bad, (Q(-1), Q(1)))
 
 
+def test_verifier_contract():
+    # ints and Fractions with denominators, up to positive rescaling
+    sys_ = strict_system([(Q(1, 2), Q(-1, 3)), (0, 1)])
+    for x in [(2, 1), (Q(1), Q(1, 2)), (Q(2, 7), Q(1, 7)), (6, Q(3))]:
+        assert verify_witness(sys_, x), x
+        assert not verify_witness(sys_, tuple(-c for c in x)), x
+    for x in [(1, 2), (Q(1, 3), Q(2, 3)), (0, 0), (1, -1)]:
+        assert not verify_witness(sys_, x), x
+    assert not verify_witness(sys_, (2,))
+    assert not verify_witness(sys_, (2, 1, 0))
+    # a certificate over forms with different denominators
+    pair = strict_system([(Q(1, 2), Q(-1, 3)), (-3, 2)])
+    for y in [(6, 1), (Q(6), Q(1)), (Q(3, 5), Q(1, 10)), (12, 2)]:
+        assert verify_certificate(pair, y), y
+        assert not verify_certificate(pair, tuple(-c for c in y)), y
+    for y in [(5, 1), (Q(5, 2), Q(1, 2)), (1, 0), (0, 0)]:
+        assert not verify_certificate(pair, y), y
+    assert not verify_certificate(pair, (6,))
+    assert not verify_certificate(pair, (6, 1, 0))
+
+
 def test_random_systems_against_ray_oracle():
     rng = random.Random(7)
     agree_f = agree_i = 0
