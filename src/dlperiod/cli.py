@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import CapacityError, UsageError, __version__
@@ -140,7 +141,12 @@ def _cmd_gp_list(args) -> int:
                 "length": coxeter_length(w),
             }
         )
-    payload = {"kind": args.type, "rank": args.rank, "count": len(data), "entries": entries}
+    payload = {
+        "kind": data[0].kind,
+        "rank": data[0].rank,
+        "count": len(data),
+        "entries": entries,
+    }
     rows = (
         ("datum", "word", "length"),
         [(e["datum"], e["word"], e["length"]) for e in entries],
@@ -270,7 +276,9 @@ def _add_type_args(p: argparse.ArgumentParser, profile: bool = True) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after."""
     ap = argparse.ArgumentParser(
         prog="dlperiod",
         description="Exact root-system, feasibility, and point-count computations.",
@@ -366,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CapacityError) as exc:

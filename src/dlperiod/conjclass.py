@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from . import CapacityError, UsageError
-from .rootsys import RootSystem, build_root_system
+from . import UsageError
+from .rootsys import RootSystem, build_root_system, normalize_kind
 from .weyl import (
     DEFAULT_GROUP_CAP,
     Perm,
@@ -30,8 +30,8 @@ from .weyl import (
     enumerate_group,
     from_word,
     generators,
-    identity_elem,
     multiply,
+    parse_word,
 )
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
     "twisted_class",
 ]
 
-GenMap = Union[None, Dict[int, int], Callable[[WeylElem], WeylElem]]
+GenMap = Optional[Dict[Union[int, str], Union[int, str]]]
 
 
 class GroupTable:
@@ -96,39 +96,23 @@ def _cached_table(rs: RootSystem, order: int) -> GroupTable:
 
 def _position_of(rs: RootSystem, key) -> int:
     """Generator reference (name or 1-based position) -> 0-based position."""
-    if isinstance(key, str):
-        try:
-            return rs.gen_names.index(key)
-        except ValueError:
-            raise UsageError(f"unknown generator name {key!r} for {rs}") from None
-    p = int(key)
-    if not 1 <= p <= len(rs.gen_names):
-        raise UsageError(f"generator position {p} out of range for {rs}")
-    return p - 1
+    word = parse_word(rs, [key])
+    if len(word) != 1:
+        raise UsageError(f"{key!r} is not a single generator of {rs}")
+    return word[0]
 
 
 def _normalize_f(rs: RootSystem, F: GenMap) -> Optional[Tuple[int, ...]]:
     """Express F as a permutation of generator positions (None = identity).
 
-    Dict keys/values follow the external convention: generator names or
-    1-based positions.  A callable must send generators to generators.
+    Keys and values are generator names or 1-based positions; generators
+    that are not keys are fixed.
     """
     if F is None:
         return None
-    gens = generators(rs)
-    if isinstance(F, dict):
-        mapped = {_position_of(rs, k): _position_of(rs, v) for k, v in F.items()}
-        perm = tuple(mapped.get(g, g) for g in range(len(gens)))
-    else:
-        images = []
-        by_perm = {g.perm: i for i, g in enumerate(gens)}
-        for g in gens:
-            img = F(g)
-            if not isinstance(img, WeylElem) or img.perm not in by_perm:
-                raise UsageError("F must map generators to generators")
-            images.append(by_perm[img.perm])
-        perm = tuple(images)
-    if sorted(perm) != list(range(len(gens))):
+    mapped = {_position_of(rs, k): _position_of(rs, v) for k, v in F.items()}
+    perm = tuple(mapped.get(g, g) for g in range(len(rs.gen_names)))
+    if sorted(perm) != list(range(len(perm))):
         raise UsageError(f"F is not a permutation of the generators: {perm}")
     return perm
 
@@ -335,15 +319,6 @@ def gp_word_tokens(datum: GPDatum) -> Tuple[str, ...]:
     return tuple(toks)
 
 
-def _block_elems(datum: GPDatum, rs: RootSystem) -> List[WeylElem]:
-    out = []
-    consumed = 0
-    for size, sign in zip(datum.parts, datum.signs):
-        out.append(from_word(rs, _block_tokens(datum, consumed, size, sign)))
-        consumed += size
-    return out
-
-
 @lru_cache(maxsize=None)
 def gp_element(datum: GPDatum) -> WeylElem:
     """The distinguished representative, word attached.
@@ -353,20 +328,17 @@ def gp_element(datum: GPDatum) -> WeylElem:
     asserted because the whole construction rests on it.
     """
     rs = gp_system(datum)
-    blocks = _block_elems(datum, rs)
+    blocks = []
+    consumed = 0
+    for size, sign in zip(datum.parts, datum.signs):
+        blocks.append(from_word(rs, _block_tokens(datum, consumed, size, sign)).perm)
+        consumed += size
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             a, b = blocks[i], blocks[j]
-            if compose(a.perm, b.perm) != compose(b.perm, a.perm):
+            if compose(a, b) != compose(b, a):
                 raise AssertionError(f"blocks {i} and {j} of {datum} do not commute")
-    out = identity_elem(rs)
-    if datum.delta == "s1":
-        out = from_word(rs, "s1")
-    elif datum.delta == "tprime":
-        out = from_word(rs, "tp")
-    for blk in blocks:
-        out = multiply(out, blk)
-    return out
+    return from_word(rs, gp_word_tokens(datum))
 
 
 def _compositions(n: int):
@@ -378,13 +350,15 @@ def _compositions(n: int):
             yield (first, *rest)
 
 
-def gp_enumerate(kind: str, rank: int) -> List[GPDatum]:
+def gp_enumerate(kind: str, rank: Optional[int]) -> List[GPDatum]:
     """All data for (kind, rank), in deterministic order.
 
     Compositions are listed first-part-descending; signs iterate +1 before
     -1 per coordinate; kind D data carry each of the three delta factors,
-    uncollapsed (distinct data may define equal group elements).
+    uncollapsed (distinct data may define equal group elements).  `kind`
+    may be a combined name like "D4", as in `build_root_system`.
     """
+    kind, rank = normalize_kind(kind, rank)
     if kind not in ("A", "B", "D"):
         raise UsageError(f"block representatives exist for kinds A, B, D, not {kind}")
     body = rank if kind in ("A", "B") else rank - 1

@@ -30,12 +30,13 @@ from . import UsageError
 from .conjclass import GPDatum, gp_element, gp_enumerate
 from .feaslin import (
     FeasibilityResult,
+    LinearForm,
     StrictSystem,
     strict_feasible,
     verify_witness,
 )
 from .linalg import Vector, integerize
-from .rootsys import LinearForm, build_root_system
+from .rootsys import build_root_system
 from .weyl import WeylElem, inverse, inversions, reduced_word
 
 __all__ = [
@@ -96,14 +97,14 @@ def build_criterion_system(w: WeylElem, q: int, mode: str = "full_D") -> StrictS
     wb, rs = _standard_twin(w)
     dbl = rs.doubled
     if mode == "full_D":
-        forms = [LinearForm.over(dbl[i], 2, "inv:") for i in inversions(wb)]
+        forms = [LinearForm(dbl[i], 2, "inv:") for i in inversions(wb)]
     else:
-        forms = [LinearForm.over(dbl[i], 2, "base:") for i in rs.base_idx]
+        forms = [LinearForm(dbl[i], 2, "base:") for i in rs.base_idx]
     winv = inverse(wb).perm
     for i in rs.base_idx:
         a = dbl[i]
         coeffs = tuple(q * x - y for x, y in zip(a, dbl[winv[i]]))
-        forms.append(LinearForm.over(coeffs, 2, "crit:", a))
+        forms.append(LinearForm(coeffs, 2, "crit:", a))
     return StrictSystem(forms=tuple(forms))
 
 
@@ -267,7 +268,7 @@ class GPScanResult:
     all_pass: bool
 
 
-def scan_gp(kind: str, rank: int, q: int, mode: str = "chamber_C") -> GPScanResult:
+def scan_gp(kind: str, rank: Optional[int], q: int, mode: str = "chamber_C") -> GPScanResult:
     """Run the criterion over every block representative of (kind, rank).
 
     Each entry carries the recipe witness, integerized and checked exactly
@@ -276,8 +277,9 @@ def scan_gp(kind: str, rank: int, q: int, mode: str = "chamber_C") -> GPScanResu
     _check_q(q)
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    data = gp_enumerate(kind, rank)
     entries: List[GPScanEntry] = []
-    for datum in gp_enumerate(kind, rank):
+    for datum in data:
         wb, _ = _standard_twin(gp_element(datum))
         system = build_criterion_system(wb, q, mode)
         witness = integerize(_recipe_witness(datum))
@@ -287,8 +289,8 @@ def scan_gp(kind: str, rank: int, q: int, mode: str = "chamber_C") -> GPScanResu
         report = CriterionReport(w=wb, q=q, mode=mode, system=system, result=result)
         entries.append(GPScanEntry(datum=datum, report=report))
     return GPScanResult(
-        kind=kind,
-        rank=rank,
+        kind=data[0].kind,
+        rank=data[0].rank,
         q=q,
         mode=mode,
         entries=tuple(entries),

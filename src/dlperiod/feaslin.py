@@ -8,7 +8,7 @@ produces it explicitly:
 * a rational witness x (returned scaled to a primitive integer vector), or
 * a certificate y >= 0, y != 0, with sum_i y_i f_i = 0.
 
-Forms arrive as integers over a positive denominator (`LinearForm.num` /
+Forms are integers over a positive denominator (`LinearForm.num` /
 `LinearForm.den`), so the positive rescaling to integers happens when a
 form is built, and solving and verifying run on integers only.  The
 decision procedure is one exact Phase-I simplex on the Gordan side: each
@@ -30,16 +30,70 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import UsageError
 from .linalg import Vector, common_denominator, integerize, vec
-from .rootsys import LinearForm
 
 __all__ = [
     "FeasibilityResult",
+    "LinearForm",
     "StrictSystem",
+    "form_label",
     "strict_feasible",
     "strict_system",
     "verify_certificate",
     "verify_witness",
 ]
+
+
+IntVector = Tuple[int, ...]
+
+
+class LinearForm:
+    """A strict linear condition `coeffs . x > 0` with a human-readable label.
+
+    The coefficients are the integers `num` over the positive integer `den`
+    (coeffs = num / den), which is all that solving and verifying read.  The
+    Fraction tuple `coeffs` and the `label` (`prefix` plus the expression of
+    named / den, by default the form itself) are made on first access.
+    """
+
+    __slots__ = ("num", "den", "_coeffs", "_label", "_prefix", "_named")
+
+    def __init__(
+        self, num: IntVector, den: int = 1, prefix: str = "", named: Optional[IntVector] = None
+    ):
+        self.num, self.den = num, den
+        self._coeffs = self._label = None
+        self._prefix, self._named = prefix, num if named is None else named
+
+    @property
+    def coeffs(self) -> Vector:
+        if self._coeffs is None:
+            self._coeffs = tuple(Q(x, self.den) for x in self.num)
+        return self._coeffs
+
+    @property
+    def label(self) -> str:
+        if self._label is None:
+            named = tuple(Q(x, self.den) for x in self._named)
+            self._label = self._prefix + form_label(named)
+        return self._label
+
+    def __repr__(self) -> str:
+        return f"LinearForm(coeffs={self.coeffs!r}, label={self.label!r})"
+
+
+def form_label(coeffs: Vector) -> str:
+    """Render coefficients as a readable expression in x1..xN."""
+    parts: list[str] = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        term = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -60,16 +114,14 @@ class StrictSystem:
             raise UsageError("zero-dimensional forms")
 
 
-def strict_system(forms: Iterable[Union[LinearForm, Sequence]], ) -> StrictSystem:
+def strict_system(forms: Iterable[Union[LinearForm, Sequence]]) -> StrictSystem:
     """Build a system from LinearForms or raw coefficient sequences."""
-    out: List[LinearForm] = []
-    for f in forms:
-        if isinstance(f, LinearForm):
-            out.append(f)
-        else:
-            num, den = common_denominator(vec(f))
-            out.append(LinearForm.over(num, den))
-    return StrictSystem(forms=tuple(out))
+    return StrictSystem(
+        forms=tuple(
+            f if isinstance(f, LinearForm) else LinearForm(*common_denominator(vec(f)))
+            for f in forms
+        )
+    )
 
 
 @dataclass(frozen=True)

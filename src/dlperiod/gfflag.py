@@ -53,7 +53,6 @@ __all__ = [
     "Cochar",
     "Field",
     "Flag",
-    "adapted_basis",
     "build_extension",
     "complete_dims",
     "coxeter_perm",
@@ -83,18 +82,8 @@ FIELD_CAP = 2**16
 DEFAULT_ENUM_CAP = 10**6
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(m: int) -> List[int]:
+    """The distinct primes dividing m, ascending (none for m < 2)."""
     out = []
     d = 2
     while d * d <= m:
@@ -108,18 +97,20 @@ def _prime_factors(m: int) -> List[int]:
     return out
 
 
+def _is_prime(p: int) -> bool:
+    return _prime_factors(p) == [p]
+
+
 def prime_power(q: int) -> Tuple[int, int]:
     """Decompose q = p^m with p prime, or raise UsageError."""
     if q < 2:
         raise UsageError(f"q must be a prime power >= 2, got {q}")
-    p = next((d for d in range(2, q + 1) if q % d == 0), q)
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1 or not _is_prime(p):
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise UsageError(f"{q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m != q:
+        m += 1
     return p, m
 
 
@@ -285,9 +276,6 @@ class Field:
             raise ZeroDivisionError("field inverse of 0")
         return self.exp[(self.size - 1 - self.log[a]) % (self.size - 1)]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def frob_map(self, q: int) -> Tuple[int, ...]:
         """The table of x -> x^q; q must be a subfield order p^m, m | k."""
         return _frob_table(self, q)
@@ -376,7 +364,7 @@ def _extender(fld: Field) -> Callable[[State, Sequence[int]], State]:
                 lc = nlog[c]
                 return [sums[x][ext[lc + logz[y]]] for x, y in zip(v, b)]
 
-        else:  # pragma: no cover - big non-binary fields are unused here
+        else:
 
             def sub(v, c, b):
                 lc = nlog[c]
@@ -461,24 +449,6 @@ def flag_from_chain(fld: Field, n: int, chain: Sequence[Sequence[Row]]) -> Flag:
     if prev >= n:
         raise UsageError("flag steps must be proper subspaces")
     return Flag(field=fld, n=n, dims=tuple(len(s) for s in steps), steps=tuple(steps))
-
-
-def adapted_basis(flag: Flag) -> Tuple[Row, ...]:
-    """A basis of the ambient space adapted to the flag.
-
-    The first dims[i] rows span step i; unit vectors pad the tail so all
-    flag.n rows together are a basis.
-    """
-    extend = _extender(flag.field)
-    units = [tuple(1 if j == i else 0 for j in range(flag.n)) for i in range(flag.n)]
-    rows: List[Row] = []
-    state: State = ()
-    for row in [r for step in flag.steps for r in step] + units:
-        grown = extend(state, row)
-        if len(grown) > len(state):
-            state = grown
-            rows.append(tuple(row))
-    return tuple(rows)
 
 
 def frobenius_flag(flag: Flag, q: int) -> Flag:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 Matrix = Tuple[Vector, ...]
@@ -64,49 +64,22 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
-def span_solver(basis: Sequence[Vector]) -> Callable[[Vector], Optional[Vector]]:
-    """Exact coordinates-in-span solver for a fixed independent `basis`.
-
-    Row-reduces [columns(basis) | I] once and returns a closure that maps each
-    target to its coordinates (or None when the target leaves the span) with a
-    single matrix-vector product, so one reduction serves every target (e.g.
-    all columns of an inverse).  Raises ValueError if the basis is dependent
-    (callers rely on coordinate uniqueness).
-    """
-    k = len(basis)
-    if k == 0:
-        return lambda target: None if any(target) else ()
-    n = len(basis[0])
-    rows = [
-        [basis[j][i] for j in range(k)]
-        + [ONE if t == i else ZERO for t in range(n)]
-        for i in range(n)
-    ]
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if rows[i][c] != 0), None)
+def matinv(m: Matrix) -> Matrix:
+    """Inverse of an invertible square matrix, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(m)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
         if pr is None:
-            raise ValueError("span_solver: basis vectors are not independent")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+            raise ValueError("matinv: singular matrix")
+        rows[c], rows[pr] = rows[pr], rows[c]
+        pv = rows[c][c]
+        rows[c] = [x / pv for x in rows[c]]
         for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    # rows 0..k-1 now read off coordinates; rows k.. must annihilate the target
-    reducer = tuple(tuple(row[k:]) for row in rows)
-
-    def solve(target: Vector) -> Optional[Vector]:
-        if len(target) != n:
-            raise ValueError(f"span_solver: expected dimension {n}, got {len(target)}")
-        image = [dot(row, target) for row in reducer]
-        if any(image[k:]):
-            return None
-        return tuple(image[:k])
-
-    return solve
+            f = rows[i][c]
+            if i != c and f != 0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return tuple(tuple(r[n:]) for r in rows)
 
 
 def common_denominator(a: Sequence) -> Tuple[Tuple[int, ...], int]:

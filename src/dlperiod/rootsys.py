@@ -32,19 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from . import UsageError
-from .linalg import Vector, common_denominator, dot, scale, sub, vec
+from .linalg import Vector, dot, scale, sub, vec
 
 __all__ = [
     "KINDS",
     "PROFILES",
-    "LinearForm",
     "RootSystem",
     "build_root_system",
-    "chamber_forms",
-    "form_label",
+    "normalize_kind",
     "parabolic_dim",
     "positive_root_count",
     "rank_vs_dim_table",
@@ -100,75 +98,6 @@ def weyl_order(kind: str, rank: int) -> int:
     if kind == "F":
         return 1152
     return 12  # G2
-
-
-class LinearForm:
-    """A strict linear condition `coeffs . x > 0` with a human-readable label.
-
-    The coefficients are held as an integer tuple `num` over a positive
-    integer `den` (coeffs = num / den), which is all that solving and
-    verifying read.  The Fraction tuple `coeffs` and the `label` are made on
-    first access.  `LinearForm(coeffs, label)` takes rational coefficients;
-    :meth:`over` builds a form from integers with a lazy label.
-    """
-
-    __slots__ = ("num", "den", "_coeffs", "_label", "_prefix", "_named")
-
-    def __init__(self, coeffs: Iterable, label: str = ""):
-        self._coeffs = vec(coeffs)
-        self.num, self.den = common_denominator(self._coeffs)
-        self._label, self._prefix, self._named = label, "", self.num
-
-    @classmethod
-    def over(
-        cls, num: IntVector, den: int, prefix: str = "", named: Optional[IntVector] = None
-    ) -> LinearForm:
-        """The form num / den, labelled `prefix` plus the expression of
-        named / den (default: the form itself)."""
-        f = cls.__new__(cls)
-        f.num, f.den = num, den
-        f._coeffs = f._label = None
-        f._prefix, f._named = prefix, num if named is None else named
-        return f
-
-    @property
-    def coeffs(self) -> Vector:
-        if self._coeffs is None:
-            self._coeffs = tuple(Q(x, self.den) for x in self.num)
-        return self._coeffs
-
-    @property
-    def label(self) -> str:
-        if self._label is None:
-            named = tuple(Q(x, self.den) for x in self._named)
-            self._label = self._prefix + form_label(named)
-        return self._label
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.label) == (other.coeffs, other.label)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.label))
-
-    def __repr__(self) -> str:
-        return f"LinearForm(coeffs={self.coeffs!r}, label={self.label!r})"
-
-
-def form_label(coeffs: Vector) -> str:
-    """Render coefficients as a readable expression in x1..xN."""
-    parts: list[str] = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        term = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +281,9 @@ def _root_table(kind: str, rank: int):
     return ambient, std, doubled, index, _fractions(doubled, 2), _fractions(coords, 1)
 
 
-def _normalize_kind(kind: str, rank) -> Tuple[str, int]:
+def normalize_kind(kind: str, rank) -> Tuple[str, int]:
+    """(kind letter, rank) from a kind letter and a rank, or from a combined
+    name like "E6" with the rank omitted or equal; raises UsageError."""
     k = str(kind).strip().upper()
     if len(k) > 1:  # accept "E6", "G2", ... style
         body = k[1:]
@@ -418,7 +349,7 @@ def build_root_system(kind: str, rank: int | None = None, profile: str = "bourba
     `kind` is one of A..G, or a combined name like "E6"; `profile` is
     "bourbaki" or "paper5" (the latter only for kinds A, B, D).
     """
-    k, r = _normalize_kind(kind, rank)
+    k, r = normalize_kind(kind, rank)
     lo, hi = _RANK_RANGE[k]
     if r < lo or (hi is not None and r > hi):
         top = hi if hi is not None else "inf"
@@ -428,16 +359,6 @@ def build_root_system(kind: str, rank: int | None = None, profile: str = "bourba
     if profile == "paper5" and k not in ("A", "B", "D"):
         raise UsageError(f"profile 'paper5' is only defined for kinds A, B, D (got {k})")
     return _build_interned(k, r, profile)
-
-
-def chamber_forms(rs: RootSystem) -> Tuple[LinearForm, ...]:
-    """Strict forms cutting out the fundamental chamber of the profile's base.
-
-    One form `(x, root) > 0` per generator root, in generator order.
-    """
-    return tuple(
-        LinearForm(coeffs=root, label=form_label(root)) for root in rs.simple_roots
-    )
 
 
 def _check_nodes(rs: RootSystem, nodes) -> Tuple[int, ...]:

@@ -41,10 +41,9 @@ from .linalg import (
     Vector,
     dot,
     identity,
+    matinv,
     matmul,
     matvec,
-    span_solver,
-    unit_vec,
     vec,
 )
 from .rootsys import RootSystem, build_root_system, weyl_order
@@ -140,8 +139,7 @@ class _MatrixFrame:
     def __init__(self, rs: RootSystem):
         simples = rs.simple_roots
         gram = [tuple(dot(a, b) for b in simples) for a in simples]
-        solve = span_solver(gram)  # gram is symmetric: solve(e_j) is row j of its inverse
-        ginv = [solve(unit_vec(rs.rank, j)) for j in range(rs.rank)]
+        ginv = matinv(gram)
         n = self.n = rs.ambient
         duals = [
             [sum((g * a[c] for g, a in zip(row, simples)), Q(0)) for c in range(n)]

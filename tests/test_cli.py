@@ -55,6 +55,17 @@ def test_gp_list(capsys):
     assert idword[0]["word"] == "e"
 
 
+@pytest.mark.parametrize("command", [("gp-list",), ("gp-scan", "--q", "2")])
+def test_gp_commands_take_combined_type_and_need_a_rank(capsys, command):
+    code, combined, _ = run(capsys, *command, "--type", "D4")
+    assert code == 0
+    assert run(capsys, *command, "--type", "D", "--rank", "4") == (0, combined, "")
+    data = json.loads(combined)
+    assert (data["kind"], data["rank"]) == ("D", 4)
+    code, out, err = run(capsys, *command, "--type", "A")
+    assert code == 2 and out == "" and "needs an explicit rank" in err
+
+
 def test_dl_criterion_json(capsys):
     code, out, _ = run(
         capsys, "dl-criterion", "--type", "G2", "--word", "s1 s2 s1", "--q", "2",
@@ -137,6 +148,31 @@ def test_pretty_format(capsys):
     assert "A3(3;+)" in out and "\t" not in out
 
 
+def test_roots_parabolic_table_matches_parabolic_table(capsys):
+    for argv in (("--type", "B", "--rank", "3"), ("--type", "E6")):
+        _, out, _ = run(capsys, "parabolic-table", *argv)
+        rows = json.loads(out)["rows"]
+        for profile in ("bourbaki", "paper5") if "B" in argv else ("bourbaki",):
+            code, out, _ = run(capsys, "roots", *argv, "--profile", profile,
+                               "--parabolic-table")
+            assert code == 0
+            assert json.loads(out)["parabolic_table"] == rows, (argv, profile)
+
+
+def test_parser_is_reused_across_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    ok = ("gp-list", "--type", "B", "--rank", "3", "--format", "tsv")
+    code, first, _ = run(capsys, *ok)
+    assert code == 0
+    code, out, err = run(capsys, "roots", "--type", "Z9")
+    assert code == 2 and out == "" and "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["roots", "--rank", "3"])  # --type is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *ok) == (0, first, "")
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
@@ -204,3 +240,23 @@ def test_criterion_stdout_is_frozen(capsys, argv, digests):
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# sha256 of gp-list stdout, frozen before gp_element was rebuilt from its
+# construction word; the words printed here are not always reduced
+GP_LIST_GOLDEN = [
+    (("--type", "D", "--rank", "4", "--format", "tsv"),
+     "b3f2994d33d7a0acf8223ea6cc09fc62a4c1d49f354cca5c875ea371421b2da0"),
+    (("--type", "D", "--rank", "5", "--format", "json"),
+     "e4098fab843a2bbc58060e427e3820c14b4448deac39bc90d9bb6c7b1574a81a"),
+    (("--type", "B", "--rank", "4", "--format", "pretty"),
+     "4cecac6feb93d898bdc1b643c6cc6a8c8784e7f6c6b1a2cf24fe95116246722f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GP_LIST_GOLDEN,
+                         ids=[" ".join(a[1::2]) for a, _ in GP_LIST_GOLDEN])
+def test_gp_list_stdout_is_frozen(capsys, argv, digest):
+    code, out, _ = run(capsys, "gp-list", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

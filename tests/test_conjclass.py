@@ -102,6 +102,20 @@ def test_twisted_variant_with_diagram_automorphism():
         twisted_class(w, F={1: 2, 2: 2, 3: 3})
 
 
+def test_twist_keys_by_generator_name():
+    rs = build_root_system("A", 3)
+    w = from_word(rs, "s1 s2")
+    assert twisted_class(w, F={"s1": "s3", "s3": "s1"}) == twisted_class(w, F={1: 3, 3: 1})
+    b3 = build_root_system("B", 3, "paper5")
+    t = from_word(b3, "t")
+    assert twisted_class(t, F={"t": "t", "2": 2}) == twisted_class(t)
+    # sp1 expands to the three letters s1 t s1: not one generator
+    with pytest.raises(UsageError, match="single generator"):
+        twisted_class(t, F={"sp1": "t"})
+    with pytest.raises(UsageError):
+        twisted_class(t, F={"tp": "t"})
+
+
 def test_shift_closure_contains_start_and_is_length_monotone():
     rs = build_root_system("D", 4, "paper5")
     w = from_word(rs, "tp s2 s3")

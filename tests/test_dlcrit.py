@@ -13,8 +13,8 @@ from dlperiod.dlcrit import (
     report_payload,
     scan_gp,
 )
-from dlperiod.feaslin import verify_witness
-from dlperiod.rootsys import build_root_system, form_label
+from dlperiod.feaslin import form_label, verify_witness
+from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
     enumerate_group,
     from_word,

@@ -8,13 +8,15 @@ from dlperiod import UsageError
 from dlperiod.dlcrit import MODES, build_criterion_system
 from dlperiod.feaslin import (
     FeasibilityResult,
+    LinearForm,
     StrictSystem,
+    form_label,
     strict_feasible,
     strict_system,
     verify_certificate,
     verify_witness,
 )
-from dlperiod.rootsys import LinearForm, build_root_system
+from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import from_word
 
 
@@ -61,12 +63,24 @@ def test_input_validation():
 
 
 def test_accepts_linear_forms_and_fractions():
-    forms = [LinearForm(coeffs=(Q(1, 2), Q(-1, 3)), label="a"), (0, 1)]
+    forms = [LinearForm((3, -2), 6), (Q(1, 2), Q(-1, 3)), (0, 1)]
     sys_ = strict_system(forms)
     assert sys_.dim == 2
+    assert [(f.num, f.den) for f in sys_.forms] == [((3, -2), 6)] * 2 + [((0, 1), 1)]
     r = strict_feasible(sys_)
     assert r.feasible
     assert verify_witness(sys_, r.witness)
+
+
+def test_form_coefficients_and_labels():
+    f = LinearForm((3, -2), 6)
+    assert f.coeffs == (Q(1, 2), Q(-1, 3))
+    assert f.label == "1/2*x1 - 1/3*x2"
+    # the label may name another vector over the same denominator
+    assert LinearForm((3, -2), 6, "crit:", (2, 0)).label == "crit:1/3*x1"
+    assert LinearForm((1, 1, 0, 0), 1, "base:").label == "base:x1 + x2"
+    assert LinearForm((0, 0)).label == "0"
+    assert form_label((Q(2), Q(0), Q(-1, 2))) == "2*x1 - 1/2*x3"
 
 
 def test_witness_is_integral():

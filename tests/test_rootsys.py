@@ -7,8 +7,6 @@ from dlperiod import UsageError
 from dlperiod.linalg import dot
 from dlperiod.rootsys import (
     build_root_system,
-    chamber_forms,
-    form_label,
     parabolic_dim,
     positive_root_count,
     rank_vs_dim_table,
@@ -189,20 +187,6 @@ def test_coxeter_positive_roots_flip_only_for_paper5_bd():
     assert not (cox_pos & {tuple(-c for c in r) for r in cox_pos})
     for rs in (build_root_system("B", 3), build_root_system("A", 3, "paper5")):
         assert frozenset(rs.coxeter_positive_roots) == frozenset(rs.positive_roots)
-
-
-def test_chamber_forms_labels():
-    assert [f.label for f in chamber_forms(build_root_system("A", 2))] == [
-        "x1 - x2",
-        "x2 - x3",
-    ]
-    assert [f.label for f in chamber_forms(build_root_system("B", 3, "paper5"))] == [
-        "x1",
-        "x1 - x2",
-        "x2 - x3",
-    ]
-    assert [f.label for f in chamber_forms(build_root_system("D", 4, "paper5"))][0] == "x1 + x2"
-    assert form_label((Q(2), Q(0), Q(-1, 2))) == "2*x1 - 1/2*x3"
 
 
 def test_interning():
