@@ -6,7 +6,9 @@ the lexicographically smallest monic irreducible of degree k, comparing
 coefficient tuples from the highest degree down.  Multiplication runs on
 exp/log tables over the smallest primitive element (found by an order
 test), addition is XOR in characteristic 2 and a digit-built table
-otherwise, so the flag loops below stay integer-only.
+otherwise (over all digits up to 1,024 elements, else over the high and the
+low half of the digits; a larger prime field adds mod p), so the flag
+loops below stay integer-only.
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
@@ -22,15 +24,21 @@ the state of V_{k-1} to that of V_k without any reduction, and each
 flag is produced exactly once.  Every node hands its subtree whatever
 state the counter carries, so no leaf reduces its whole flag again.
 All walks are cap-guarded before they start and raise CapacityError
-naming the predicted count.
+naming the predicted count; the tally checks the cap on the complete
+flags even though its walk stops one level short of them.
 
 Three counters are exposed:
 
 * ``dl_point_count`` — complete flags whose relative position against
   their q-power Frobenius image is a prescribed permutation.  The walk
   keeps the states of F_i + Frob(F)_j and writes the ranks with
-  max(i, j) = k at depth k; a leaf reads the permutation from the second
-  differences of the rank matrix.
+  max(i, j) = k at depth k; a complete flag's permutation is read from the
+  second differences of the rank matrix.  The walk stops at V_{n-2}: the
+  last level is counted by incidence classes.  The Q + 1 hyperplanes over
+  V_{n-2} (Q = q^e) differ in their last ranks only by which of
+  Frob^-1 V_i, Frob V_j and their own image they contain, so a few
+  special hyperplanes are evaluated one by one and all the others share
+  one rank matrix, evaluated once and counted with multiplicity.
 * ``omega_point_count`` — projective points avoiding every hyperplane
   rational over the q-element subfield (an independent computation, used
   to cross-identify the distinguished cell of the first counter);
@@ -208,6 +216,19 @@ def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
     raise AssertionError(f"GF({p}^{k}) has no primitive element")  # pragma: no cover
 
 
+def _digit_sums(p: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """The addition table of d-digit base-p numbers, digit-wise mod p,
+    built one digit at a time."""
+    digit = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
+    tbl = digit
+    for _ in range(d - 1):
+        tbl = tuple(
+            tuple(h * p + s for h in tbl[a // p] for s in digit[a % p])
+            for a in range(len(tbl) * p)
+        )
+    return tbl
+
+
 class Field:
     """GF(p^k) with integer-encoded elements and table arithmetic."""
 
@@ -217,7 +238,9 @@ class Field:
         self.size = p**k
         self.modulus = _canonical_modulus(p, k)
 
-        # addition is digit-wise mod p; the tables are built one digit at a time
+        # addition is digit-wise mod p, read from digit-built tables: one over
+        # all k digits up to 1,024 elements, else one over the high and one
+        # over the low half of the digits (a larger prime field adds mod p)
         self._sums: Optional[Tuple[Tuple[int, ...], ...]] = None
         if p == 2:
             self.add = lambda a, b: a ^ b
@@ -228,19 +251,16 @@ class Field:
                 negs = tuple(h * p + (-d) % p for h in negs for d in range(p))
             self.neg = lambda a, _n=negs: _n[a]
             if self.size <= 1024:
-                digit = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-                tbl = digit
-                for _ in range(k - 1):
-                    tbl = tuple(
-                        tuple(h * p + s for h in tbl[a // p] for s in digit[a % p])
-                        for a in range(len(tbl) * p)
-                    )
+                tbl = _digit_sums(p, k)
                 self._sums = tbl
                 self.add = lambda a, b, _t=tbl: _t[a][b]
+            elif k == 1:
+                self.add = lambda a, b: (a + b) % p
             else:
-                self.add = lambda a, b: _number(
-                    [(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p
-                )
+                h = p ** (k // 2)
+                hi = _digit_sums(p, k - k // 2)
+                lo = hi if k % 2 == 0 else _digit_sums(p, k // 2)
+                self.add = lambda a, b: lo[a % h][b % h] + h * hi[a // h][b // h]
 
         # multiplication via a discrete log on the smallest primitive element g;
         # the walk adds g*(low digits) and g*(high digits), both tabulated
@@ -510,6 +530,15 @@ def _echelon_bases(
             yield tuple((cols[pivs[i]], tuple(rows[i])) for i in range(s))
 
 
+def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
+    total = flag_count(n, dims, fld.size)
+    if total > cap:
+        raise CapacityError(
+            f"flag family of type {dims} in dimension {n} over {fld!r} "
+            f"has {total} members, exceeding cap {cap}"
+        )
+
+
 def _walk(fld: Field, n: int, dims: Tuple[int, ...], cap: int, enter, root) -> Iterator:
     """Depth first over every flag of type dims (cap-checked first).
 
@@ -518,12 +547,7 @@ def _walk(fld: Field, n: int, dims: Tuple[int, ...], cap: int, enter, root) -> I
     ``enter(k, rows, state, ctx)`` turns the parent's context into the
     node's, which its whole subtree shares.  Yields the leaves' contexts.
     """
-    total = flag_count(n, dims, fld.size)
-    if total > cap:
-        raise CapacityError(
-            f"flag family of type {dims} in dimension {n} over {fld!r} "
-            f"has {total} members, exceeding cap {cap}"
-        )
+    _check_cap(fld, n, dims, cap)
     if not dims:
         yield root
         return
@@ -683,13 +707,21 @@ def _tally_key(n: int, q: int, e: int) -> Tuple[int, int, int]:
 @lru_cache(maxsize=16)
 def _dl_tally_cached(n: int, q: int, e: int, cap: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     fld = build_extension(q, e)
+    dims = complete_dims(n)
+    _check_cap(fld, n, dims, cap)
+    size = fld.size
     frob = fld.frob_map(q)
+    unfrob = [0] * size
+    for a, b in enumerate(frob):
+        unfrob[b] = a
+    rational = rational_scalars(fld, q)
     extend = _extender(fld)
     rank = _rank_frame(n)  # rank(F_i + G_j), G = Frob(F); depth k writes max(i, j) = k
 
     def enter(depth, rows, state, ctx):
-        # ctx: the states of F_i + G_{k-1} for i < k, and the images of b_1..b_{k-1}
-        sums, images = ctx
+        # ctx: the states of F_i + G_{k-1} for i < k, the images of b_1..b_{k-1},
+        # and the state of V_{k-1}
+        sums, images, _parent = ctx
         k = depth + 1
         image = [frob[x] for x in rows[0]]
         images = images + (image,)
@@ -705,9 +737,49 @@ def _dl_tally_cached(n: int, q: int, e: int, cap: int) -> Tuple[Tuple[Tuple[int,
         if k == n - 1:
             return _perm_from_ranks(rank, n)
         nxt.append(st)
-        return nxt, images
+        return nxt, images, state
 
-    counts = Counter(_walk(fld, n, complete_dims(n), cap, enter, ([()], ())))
+    # The hyperplanes H over V_{n-2} are the points of the line V / V_{n-2}:
+    # x < size stands for the row with 1 at c1 and x at c2, size for the row
+    # with 1 at c2 (c1 < c2 the non-pivot coordinates).  The new ranks are
+    # incidences: rank(V_i + Frob H) = n-1 iff Frob^-1 V_i lies in H,
+    # rank(H + G_j) = n-1 iff G_j lies in H, rank(H + Frob H) = n-1 iff H is
+    # rational.  Each holds for every H, for none, or for one H (the sum
+    # with V_{n-2} when that is a hyperplane), and a rational H lies over a
+    # rational V_{n-2} or equals V_{n-2} + G_{n-2}.  So the H outside the
+    # special set below share one rank matrix, evaluated once.  The walk is
+    # suspended at each V_{n-2} it yields, so rank holds that node's entries.
+    counts: Counter = Counter()
+    for ctx in _walk(fld, n, dims[:-1], cap, enter, ([()], (), ())):
+        base = ctx[2]
+        taken = {pv for pv, _row in base}
+        c1, c2 = [c for c in range(n) if c not in taken]
+        if rank[n - 2][n - 2] == n - 2:
+            # V_{n-2} is rational, so it holds every Frob^-1 V_i and G_j
+            special = set(rational)
+            special.add(size)
+        else:
+            special = set()
+            preimages = ([unfrob[x] for x in row] for _pv, row in base)
+            for chain in (preimages, ctx[1]):
+                st = base
+                for row in chain:
+                    st = extend(st, row)
+                    if len(st) > n - 2:
+                        row = st[-1][1]
+                        special.add(row[c2] if row[c1] else size)
+                        break
+
+        def leaf(x):
+            row = [0] * n
+            row[c1], row[c2] = (1, x) if x < size else (0, 1)
+            return enter(n - 2, [row], base + ((c1 if row[c1] else c2, row),), ctx)
+
+        for x in special:
+            counts[leaf(x)] += 1
+        generic = size + 1 - len(special)
+        if generic:
+            counts[leaf(next(x for x in range(size + 1) if x not in special))] += generic
     return tuple(sorted(counts.items()))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dlperiod import cli
-from dlperiod.dlcrit import GPScanEntry, GPScanResult
+from dlperiod.dlcrit import GPScanResult
 
 
 def run(capsys, *argv):

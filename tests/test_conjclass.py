@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 import pytest
 
 from dlperiod import CapacityError, UsageError
-from dlperiod.linalg import matmul
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
     act,
@@ -11,9 +10,7 @@ from dlperiod.weyl import (
     enumerate_group,
     from_word,
     generator,
-    inverse,
     multiply,
-    word_names,
 )
 from dlperiod.conjclass import (
     GPDatum,

@@ -7,7 +7,6 @@ from _oracles import ray_feasible
 from dlperiod import UsageError
 from dlperiod.dlcrit import MODES, build_criterion_system
 from dlperiod.feaslin import (
-    FeasibilityResult,
     LinearForm,
     StrictSystem,
     form_label,

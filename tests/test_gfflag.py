@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product as iproduct
 from math import comb
@@ -7,9 +8,6 @@ import pytest
 from dlperiod import CapacityError, UsageError
 from dlperiod.gfflag import (
     Cochar,
-    DEFAULT_ENUM_CAP,
-    Field,
-    Flag,
     build_extension,
     cochar,
     complete_dims,
@@ -215,8 +213,13 @@ def test_dl_point_counts_frozen():
     for e, total in COMPLETE_3_2_TOTALS.items():
         assert sum(dl_point_tally(3, 2, e).values()) == total
     assert dl_point_count(3, 2, 3, "s1 s2") == dl_point_count(3, 2, 3, (1, 2, 0))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as exc:
         dl_point_tally(3, 2, 3, cap=100)
+    assert "657" in str(exc.value)
+    assert dl_point_tally(3, 3, 3) == {
+        (0, 1, 2): 52, (0, 2, 1): 312, (1, 0, 2): 312,
+        (1, 2, 0): 432, (2, 0, 1): 432, (2, 1, 0): 19656,
+    }
 
 
 def test_omega_counts():
@@ -313,18 +316,42 @@ def test_odd_characteristic_add_table_field_laws():
             assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
 
 
+@pytest.mark.parametrize("p,k", [(3, 7), (3, 8), (5, 5), (7, 4), (1031, 1)])
+def test_big_odd_fields_add_digit_wise(p, k):
+    # above 1,024 elements addition reads two half-digit tables (a prime
+    # field adds mod p); seeded pairs must add digit by digit mod p
+    fld = field_build(p, k)
+    assert fld._sums is None
+
+    def digits(a):
+        return [(a // p**i) % p for i in range(k)]
+
+    rng = random.Random(8)
+    for _ in range(5000):
+        a, b = rng.randrange(fld.size), rng.randrange(fld.size)
+        s = fld.add(a, b)
+        assert digits(s) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+        assert s == fld.add(b, a) and fld.add(a, fld.neg(a)) == 0
+
+
 @pytest.mark.parametrize("q,e", [(3, 7), (5, 5)])
 def test_big_odd_fields_count_lines(q, e):
     # GF(3^7) and GF(5^5) exceed the 1,024-element add table, so echelon
-    # steps subtract digit by digit; on the projective line q + 1 points
-    # are rational and the other q^e - q are not
+    # steps subtract through the half-digit tables; on the projective line
+    # q + 1 points are rational and the other q^e - q are not
     assert field_build(q, e)._sums is None
     assert dl_point_tally(2, q, e) == {(0, 1): q + 1, (1, 0): q**e - q}
     if q == 3:
         assert period_point_count((1, 0), q, e) == q**e - q
 
 
-@pytest.mark.parametrize("n,q,e", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
+@pytest.mark.parametrize(
+    "n,q,e",
+    [
+        (2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 1), (3, 3, 2), (3, 2, 3),
+        (3, 4, 1), (4, 2, 1), (4, 2, 2),
+    ],
+)
 def test_tally_matches_flagwise_relative_position(n, q, e):
     # brute force: each flag against its rref'd Frobenius image
     fld = build_extension(q, e)

@@ -14,7 +14,6 @@ from dlperiod.weyl import (
     descents,
     enumerate_group,
     from_word,
-    generator,
     generators,
     identity_elem,
     inverse,
