@@ -16,7 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import CapacityError, UsageError, __version__
 from .classify import classification_scan
-from .conjclass import gp_element, gp_enumerate, min_length_bruteforce, reduce_to_minimal
+from .conjclass import (
+    gp_element,
+    gp_enumerate,
+    gp_word_tokens,
+    min_length_bruteforce,
+    reduce_to_minimal,
+)
 from .dlcrit import check_dl_criterion, report_payload, scan_gp
 from .gfflag import (
     dl_point_count,
@@ -24,7 +30,7 @@ from .gfflag import (
     period_point_count,
 )
 from .rootsys import build_root_system, rank_vs_dim_table
-from .weyl import coxeter_length, from_word, word_names
+from .weyl import coxeter_length, from_word, parse_word, word_names
 
 __all__ = ["main"]
 
@@ -131,13 +137,14 @@ def _cmd_gp_list(args) -> int:
     entries = []
     for d in data:
         w = gp_element(d)
+        word = parse_word(w.rs, gp_word_tokens(d))  # as built, not reduced
         entries.append(
             {
                 "datum": str(d),
                 "parts": list(d.parts),
                 "signs": list(d.signs),
                 "delta": d.delta,
-                "word": " ".join(word_names(w.rs, w.word)) or "e",
+                "word": " ".join(word_names(w.rs, word)) or "e",
                 "length": coxeter_length(w),
             }
         )
@@ -194,14 +201,15 @@ def _cmd_gp_scan(args) -> int:
     return 0 if result.all_pass else 1
 
 
-def _parse_perm_or_word(raw: str):
-    if "," in raw:
+def _int_list(raw: str, option: str) -> Tuple[int, ...]:
+    try:
         return tuple(int(x) for x in raw.split(","))
-    return raw
+    except ValueError:
+        raise UsageError(f"{option} must be comma-separated integers, got {raw!r}") from None
 
 
 def _cmd_count_points(args) -> int:
-    w = _parse_perm_or_word(args.w)
+    w = _int_list(args.w, "--w") if "," in args.w else args.w  # one-line or word
     count = dl_point_count(args.n, args.q, args.e, w, cap=args.cap)
     _emit(args, {"n": args.n, "q": args.q, "e": args.e, "w": args.w, "count": count})
     return 0
@@ -214,7 +222,7 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_period_domain(args) -> int:
-    nu = tuple(int(x) for x in args.nu.split(","))
+    nu = _int_list(args.nu, "--nu")
     count = period_point_count(nu, args.q, args.e, cap=args.cap)
     _emit(args, {"nu": list(nu), "q": args.q, "e": args.e, "count": count})
     return 0

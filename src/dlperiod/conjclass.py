@@ -29,8 +29,6 @@ from .weyl import (
     coxeter_length,
     enumerate_group,
     from_word,
-    generators,
-    multiply,
     parse_word,
 )
 
@@ -57,10 +55,10 @@ GenMap = Optional[Dict[Union[int, str], Union[int, str]]]
 class GroupTable:
     """Dense multiplication tables for a small group, indexed by ints.
 
-    Element 0 is the identity; `elems[i].word` is a geodesic word; `index`
-    maps root permutations to element indices.  Built lazily per root system
-    and cached, since every twisted-class walk in a given group shares the
-    same tables.
+    Element 0 is the identity and elements come in breadth-first order;
+    `index` maps root permutations to element indices.  Built lazily per
+    root system and cached, since every twisted-class walk in a given group
+    shares the same tables.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
@@ -134,12 +132,11 @@ class ReductionChain:
 def cyclic_shift_step(w: WeylElem, gen: int, F: GenMap = None) -> WeylElem:
     """One twisted shift: s_gen * w * F(s_gen) (no length restriction)."""
     fperm = _normalize_f(w.rs, F)
-    gens = generators(w.rs)
+    gens = w.rs.gen_perms
     if not 0 <= gen < len(gens):
         raise UsageError(f"generator position {gen} out of range for {w.rs}")
-    s = gens[gen]
     fs = gens[gen if fperm is None else fperm[gen]]
-    return multiply(s, multiply(w, fs))
+    return WeylElem(w.rs, compose(gens[gen], compose(w.perm, fs)))
 
 
 def _closure_bfs(
@@ -154,10 +151,7 @@ def _closure_bfs(
     seen = {start}
     order = [start]
     parents: Dict[int, Tuple[int, int]] = {}
-    head = 0
-    while head < len(order):
-        i = order[head]
-        head += 1
+    for i in order:  # grows while it is read: a breadth-first queue
         li = tbl.length[i]
         for g in range(tbl.ngens):
             j = tbl.conj_step(i, g, fperm)
@@ -171,6 +165,21 @@ def _closure_bfs(
     return order, parents
 
 
+def _class_walk(
+    w: WeylElem, F: GenMap, cap: int, monotone: bool
+) -> Tuple[GroupTable, List[int], Dict[int, Tuple[int, int]]]:
+    """Enter a class walk: normalize F, check the cap, find w in the table
+    (UsageError when it is not in the group), and run `_closure_bfs`."""
+    fperm = _normalize_f(w.rs, F)
+    tbl = group_table(w.rs, cap)
+    try:
+        start = tbl.index[w.perm]
+    except KeyError:
+        raise UsageError("element does not belong to the table's group") from None
+    order, parents = _closure_bfs(tbl, start, fperm, monotone)
+    return tbl, order, parents
+
+
 def reduce_to_minimal(
     w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
 ) -> ReductionChain:
@@ -180,35 +189,22 @@ def reduce_to_minimal(
     coxeter_length; the terminal is the first minimum-length element in
     discovery order, so the result is deterministic.
     """
-    fperm = _normalize_f(w.rs, F)
-    tbl = group_table(w.rs, cap)
-    try:
-        start = tbl.index[w.perm]
-    except KeyError:
-        raise UsageError("element does not belong to the table's group") from None
-    order, parents = _closure_bfs(tbl, start, fperm, monotone=True)
-    best = min(tbl.length[i] for i in order)
-    terminal = next(i for i in order if tbl.length[i] == best)
-    rev: List[Tuple[int, int, int]] = []  # (gen, source, target)
+    tbl, order, parents = _class_walk(w, F, cap, monotone=True)
+    terminal = min(order, key=tbl.length.__getitem__)  # the first of least length
+    steps: List[ShiftStep] = []
     j = terminal
-    while j != start:
+    while j in parents:  # back to the start, the one element without a parent
         i, g = parents[j]
-        rev.append((g, i, j))
+        steps.append(ShiftStep(gen=g, source=tbl.elems[i], target=tbl.elems[j]))
         j = i
-    steps = tuple(
-        ShiftStep(gen=g, source=tbl.elems[i], target=tbl.elems[j])
-        for g, i, j in reversed(rev)
-    )
-    return ReductionChain(start=tbl.elems[start], steps=steps, terminal=tbl.elems[terminal])
+    return ReductionChain(tbl.elems[order[0]], tuple(reversed(steps)), tbl.elems[terminal])
 
 
 def shift_closure(
     w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
 ) -> List[WeylElem]:
     """All elements reachable from w by nonincreasing shift steps (BFS order)."""
-    fperm = _normalize_f(w.rs, F)
-    tbl = group_table(w.rs, cap)
-    order, _ = _closure_bfs(tbl, tbl.index[w.perm], fperm, monotone=True)
+    tbl, order, _ = _class_walk(w, F, cap, monotone=True)
     return [tbl.elems[i] for i in order]
 
 
@@ -216,9 +212,7 @@ def twisted_class(
     w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
 ) -> List[WeylElem]:
     """The whole twisted conjugacy class of w (BFS order, no length filter)."""
-    fperm = _normalize_f(w.rs, F)
-    tbl = group_table(w.rs, cap)
-    order, _ = _closure_bfs(tbl, tbl.index[w.perm], fperm, monotone=False)
+    tbl, order, _ = _class_walk(w, F, cap, monotone=False)
     return [tbl.elems[i] for i in order]
 
 
@@ -227,7 +221,8 @@ def min_length_bruteforce(
 ) -> int:
     """Minimum coxeter_length over the full twisted class (independent of
     the shift heuristics; used as the reference in tests)."""
-    return min(coxeter_length(x) for x in twisted_class(w, F, cap))
+    tbl, order, _ = _class_walk(w, F, cap, monotone=False)
+    return min(tbl.length[i] for i in order)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +316,7 @@ def gp_word_tokens(datum: GPDatum) -> Tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def gp_element(datum: GPDatum) -> WeylElem:
-    """The distinguished representative, word attached.
+    """The distinguished representative, the product of its construction word.
 
     The block factors act on disjoint coordinate sets (plus, with negative
     signs, the shared sign ladder) and must commute pairwise; this is

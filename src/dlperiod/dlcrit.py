@@ -37,7 +37,7 @@ from .feaslin import (
 )
 from .linalg import Vector, integerize
 from .rootsys import build_root_system
-from .weyl import WeylElem, inverse, inversions, reduced_word
+from .weyl import WeylElem, inverse, inversions
 
 __all__ = [
     "CriterionReport",
@@ -60,17 +60,15 @@ def _check_q(q: int) -> int:
     return q
 
 
-def _standard_twin(w: WeylElem):
-    """The same element in the standard profile, with a word in its generators.
+def _standard_twin(w: WeylElem) -> WeylElem:
+    """The same element in the standard profile.
 
-    Both profiles number the roots alike, so the permutation carries over;
-    the word does not, since the generators differ.
+    Both profiles number the roots alike, so the permutation carries over.
     """
     rs = w.rs
     if rs.profile == "bourbaki":
-        return w, rs
-    twin = build_root_system(rs.kind, rs.rank, "bourbaki")
-    return WeylElem(twin, w.perm, reduced_word(WeylElem(twin, w.perm))), twin
+        return w
+    return WeylElem(build_root_system(rs.kind, rs.rank, "bourbaki"), w.perm)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,8 @@ def build_criterion_system(w: WeylElem, q: int, mode: str = "full_D") -> StrictS
     _check_q(q)
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-    wb, rs = _standard_twin(w)
+    wb = _standard_twin(w)
+    rs = wb.rs
     dbl = rs.doubled
     if mode == "full_D":
         forms = [LinearForm(dbl[i], 2, "inv:") for i in inversions(wb)]
@@ -115,7 +114,7 @@ def check_dl_criterion(w: WeylElem, q: int, mode: str = "full_D") -> CriterionRe
     against the full_D system (the chamber is contained in every inversion
     region, so this must hold; a failure indicates a bug and raises).
     """
-    wb, _ = _standard_twin(w)
+    wb = _standard_twin(w)
     system = build_criterion_system(wb, q, mode)
     result = strict_feasible(system)
     if mode == "chamber_C" and result.feasible:
@@ -280,7 +279,7 @@ def scan_gp(kind: str, rank: Optional[int], q: int, mode: str = "chamber_C") -> 
     data = gp_enumerate(kind, rank)
     entries: List[GPScanEntry] = []
     for datum in data:
-        wb, _ = _standard_twin(gp_element(datum))
+        wb = _standard_twin(gp_element(datum))
         system = build_criterion_system(wb, q, mode)
         witness = integerize(_recipe_witness(datum))
         if not verify_witness(system, witness):

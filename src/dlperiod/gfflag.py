@@ -5,10 +5,10 @@ base p (digit i = coefficient of x^i) modulo a canonical irreducible:
 the lexicographically smallest monic irreducible of degree k, comparing
 coefficient tuples from the highest degree down.  Multiplication runs on
 exp/log tables over the smallest primitive element (found by an order
-test), addition is XOR in characteristic 2 and a digit-built table
-otherwise (over all digits up to 1,024 elements, else over the high and the
-low half of the digits; a larger prime field adds mod p), so the flag
-loops below stay integer-only.
+test), addition is XOR in characteristic 2 and otherwise reads one
+digit-built table of at most 256 rows (over all digits up to 256 elements,
+else chunk by chunk; a larger prime field adds mod p), so the flag loops
+below stay integer-only.
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
@@ -238,9 +238,10 @@ class Field:
         self.size = p**k
         self.modulus = _canonical_modulus(p, k)
 
-        # addition is digit-wise mod p, read from digit-built tables: one over
-        # all k digits up to 1,024 elements, else one over the high and one
-        # over the low half of the digits (a larger prime field adds mod p)
+        # addition is digit-wise mod p, read from one digit-built table of at
+        # most 256 rows: over all digits up to 256 elements, else chunk by
+        # chunk, in chunks as even as their number allows (GF(37^3): three
+        # through 37 rows); FIELD_CAP leaves only prime fields with p > 256
         self._sums: Optional[Tuple[Tuple[int, ...], ...]] = None
         if p == 2:
             self.add = lambda a, b: a ^ b
@@ -250,17 +251,18 @@ class Field:
             for _ in range(k):
                 negs = tuple(h * p + (-d) % p for h in negs for d in range(p))
             self.neg = lambda a, _n=negs: _n[a]
-            if self.size <= 1024:
-                tbl = _digit_sums(p, k)
-                self._sums = tbl
-                self.add = lambda a, b, _t=tbl: _t[a][b]
-            elif k == 1:
+            if p > 256:
                 self.add = lambda a, b: (a + b) % p
             else:
-                h = p ** (k // 2)
-                hi = _digit_sums(p, k - k // 2)
-                lo = hi if k % 2 == 0 else _digit_sums(p, k // 2)
-                self.add = lambda a, b: lo[a % h][b % h] + h * hi[a // h][b // h]
+                chunks = -(-k // max(d for d in range(1, k + 1) if p**d <= 256))
+                d = -(-k // chunks)
+                h, tbl = p**d, _digit_sums(p, d)
+                add = lambda a, b: tbl[a][b]
+                for _ in range(chunks - 1):  # the lowest chunk, then the rest
+                    add = lambda a, b, rest=add: tbl[a % h][b % h] + h * rest(a // h, b // h)
+                self.add = add
+                if chunks == 1:
+                    self._sums = tbl
 
         # multiplication via a discrete log on the smallest primitive element g;
         # the walk adds g*(low digits) and g*(high digits), both tabulated

@@ -5,9 +5,10 @@ An element is the permutation it induces on the roots of its root system,
 numbered as in :mod:`dlperiod.rootsys` (positive roots first, then their
 negatives): `perm[i]` is the index of w(root i).  Products compose these
 tuples, and lengths, descents and reduced words are read off them.  The
-ambient matrix (`WeylElem.matrix`) is derived from the permutation when
-asked for, exactly: it sends each standard simple root to its image and
-fixes the orthogonal complement of the roots.
+exact ambient matrix (`WeylElem.matrix`) and the least reduced word
+(`WeylElem.word`) are derived from the permutation on each read; the
+matrix sends each standard simple root to its image and fixes the
+orthogonal complement of the roots.
 
 Words are sequences of generator *names* (`"s1"`, `"t"`, `"tp"`, ...);
 1-based generator positions are accepted as integer tokens.  Extended
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from . import CapacityError, UsageError
 from .linalg import (
@@ -94,15 +95,10 @@ def _invert(p: Perm) -> Perm:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class WeylElem:
-    """Group element: root permutation plus an optional defining word.
-
-    Equality and hashing use (root system, permutation) only — the word is
-    advisory and need not be reduced.
-    """
+    """Group element: the permutation it induces on the roots of `rs`."""
 
     rs: RootSystem
     perm: Perm
-    word: Optional[Word] = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,8 +111,12 @@ class WeylElem:
         return hash(self.perm)
 
     def __str__(self) -> str:
-        w = " ".join(word_names(self.rs, self.word)) if self.word is not None else "?"
-        return f"<{self.rs} {w}>"
+        return f"<{self.rs} {' '.join(word_names(self.rs, self.word))}>"
+
+    @property
+    def word(self) -> Word:
+        """The lexicographically least reduced word, derived on each read."""
+        return reduced_word(self)
 
     @property
     def matrix(self) -> Matrix:
@@ -178,14 +178,14 @@ def _matrix_frame(kind: str, rank: int) -> _MatrixFrame:
 
 
 def identity_elem(rs: RootSystem) -> WeylElem:
-    return WeylElem(rs, tuple(range(len(rs.doubled))), ())
+    return WeylElem(rs, tuple(range(len(rs.doubled))))
 
 
 def generator(rs: RootSystem, pos: int) -> WeylElem:
     """Generator by 0-based position in `rs.gen_names` order."""
     if not 0 <= pos < len(rs.gen_perms):
         raise UsageError(f"generator position {pos} out of range for {rs}")
-    return WeylElem(rs, rs.gen_perms[pos], (pos,))
+    return WeylElem(rs, rs.gen_perms[pos])
 
 
 def generators(rs: RootSystem) -> Tuple[WeylElem, ...]:
@@ -251,9 +251,7 @@ def parse_word(rs: RootSystem, word: WordLike) -> Word:
     return tuple(out)
 
 
-def word_names(rs: RootSystem, word: Optional[Word]) -> Tuple[str, ...]:
-    if word is None:
-        return ()
+def word_names(rs: RootSystem, word: Word) -> Tuple[str, ...]:
     return tuple(rs.gen_names[i] for i in word)
 
 
@@ -263,23 +261,20 @@ def from_word(rs: RootSystem, word: WordLike) -> WeylElem:
     The element is the left-to-right product of the generators, so for
     w = from_word(rs, "t s1") the action on a vector x is t(s1(x)).
     """
-    positions = parse_word(rs, word)
     p = tuple(range(len(rs.doubled)))
-    for g in positions:
+    for g in parse_word(rs, word):
         p = compose(p, rs.gen_perms[g])
-    return WeylElem(rs, p, positions)
+    return WeylElem(rs, p)
 
 
 def multiply(a: WeylElem, b: WeylElem) -> WeylElem:
     if a.rs is not b.rs:
         raise UsageError("multiply: elements live in different systems")
-    word = a.word + b.word if a.word is not None and b.word is not None else None
-    return WeylElem(a.rs, compose(a.perm, b.perm), word)
+    return WeylElem(a.rs, compose(a.perm, b.perm))
 
 
 def inverse(w: WeylElem) -> WeylElem:
-    word = tuple(reversed(w.word)) if w.word is not None else None
-    return WeylElem(w.rs, _invert(w.perm), word)
+    return WeylElem(w.rs, _invert(w.perm))
 
 
 def act(w: WeylElem, x: Iterable) -> Vector:
@@ -335,7 +330,11 @@ def descents(w: WeylElem) -> Tuple[int, ...]:
 
 
 def reduced_word(w: WeylElem) -> Word:
-    """A reduced word (0-based positions), peeling smallest left descents."""
+    """The lexicographically least reduced word (0-based positions).
+
+    Any left descent can begin a reduced word, so peeling the smallest one
+    at each step gives the least word.
+    """
     rs = w.rs
     inv = _invert(w.perm)
     out: List[int] = []
@@ -371,9 +370,9 @@ def checked_order(rs: RootSystem, cap: int) -> int:
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylElem]:
     """All group elements in breadth-first order from the identity.
 
-    Deterministic; attached words are geodesics in the generator alphabet.
-    Raises CapacityError (naming the group order) when the group is larger
-    than `cap`.
+    Deterministic: generators are tried in their listed order.  Raises
+    CapacityError (naming the group order) when the group is larger than
+    `cap`.
     """
     order = checked_order(rs, cap)
     # An element is determined by the images of the simple roots, so visited
@@ -382,19 +381,14 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylEl
     gen_keys = [tuple(gp[b] for b in base) for gp in rs.gen_perms]
     seen = {base}
     perms: List[Perm] = [tuple(range(len(rs.doubled)))]
-    words: List[Word] = [()]
-    head = 0
-    while head < len(perms):
-        p, w = perms[head], words[head]
-        head += 1
-        for g, (gp, gk) in enumerate(zip(rs.gen_perms, gen_keys)):
+    for p in perms:  # grows while it is read: a breadth-first queue
+        for gp, gk in zip(rs.gen_perms, gen_keys):
             key = tuple(map(p.__getitem__, gk))
             if key not in seen:
                 seen.add(key)
                 perms.append(compose(p, gp))
-                words.append(w + (g,))
     if len(perms) != order:
         raise AssertionError(
             f"enumerated {len(perms)} elements of {rs}, expected {order}"
         )
-    return [WeylElem(rs, p, w) for p, w in zip(perms, words)]
+    return [WeylElem(rs, p) for p in perms]

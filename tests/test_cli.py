@@ -139,6 +139,12 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "count-points", "--n", "3", "--q", "2", "--e", "3",
                          "--w", "s1 s2", "--cap", "5")
     assert code == 2 and "657" in err
+    # a bad comma list is a usage error (exit 1 would mean a gp-scan violation)
+    code, out, err = run(capsys, "period-domain", "--nu", "1,0,a", "--q", "2", "--e", "2")
+    assert code == 2 and out == "" and "error: --nu" in err
+    code, out, err = run(capsys, "count-points", "--n", "3", "--w", "1,x,0", "--q", "2",
+                         "--e", "2")
+    assert code == 2 and out == "" and "error: --w" in err
 
 
 def test_pretty_format(capsys):
@@ -260,3 +266,51 @@ def test_gp_list_stdout_is_frozen(capsys, argv, digest):
     code, out, _ = run(capsys, "gp-list", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (type, rank, profile, word) for min-length; the stdout of all of them in
+# one format is frozen by one sha256, taken while elements still carried the
+# breadth-first word of the group table, so the printed terminal words pin
+# the least reduced word that elements now derive
+MIN_LENGTH_WORDS = [
+    ("A", "2", "bourbaki", "s1 s2 s1"),
+    ("A", "3", "bourbaki", "s2 s1 s3 s2"),
+    ("A", "3", "paper5", "s3 s1 s2 s3 s1"),
+    ("A", "4", "bourbaki", "s4 s2 s3 s1 s2 s4"),
+    ("A", "4", "bourbaki", "1 2 3 4 3 2 1"),
+    ("B", "2", "paper5", "t s1 t"),
+    ("B", "3", "paper5", "t s1 t s2 s1"),
+    ("B", "3", "paper5", "sp2 s1"),
+    ("B", "3", "bourbaki", "s3 s2 s3 s1 s2"),
+    ("B", "4", "paper5", "s3 t s1 s2 s3 s1 t s2"),
+    ("B", "4", "bourbaki", "s4 s3 s4 s2 s1"),
+    ("C", "3", "bourbaki", "s3 s2 s3 s2 s1"),
+    ("C", "4", "bourbaki", "s1 s4 s3 s4 s2 s3"),
+    ("D", "4", "paper5", "tp s2 s3 s1 s2"),
+    ("D", "4", "paper5", "sp1 s3"),
+    ("D", "4", "bourbaki", "s2 s1 s3 s4 s2 s1"),
+    ("D", "5", "paper5", "s4 tp s2 s1 s3 s2 s4"),
+    ("D", "5", "bourbaki", "s5 s3 s2 s4 s3 s1"),
+    ("G", "2", "bourbaki", "s2 s1 s2 s1"),
+    ("G", "2", "bourbaki", "s1 s2 s1"),
+    ("F", "4", "bourbaki", "s3 s2 s3 s4 s1 s2 s3"),
+    ("F", "4", "bourbaki", "4 3 2 1 2 3 4 3 2"),
+    ("A", "5", "bourbaki", "s5 s3 s1 s4 s2 s3 s5"),
+    ("B", "5", "paper5", "s4 s3 t s2 s1 s4 t"),
+]
+MIN_LENGTH_GOLDEN = {
+    "json": "6cfaf6147849c58841c68abe16b3eac0fee0f1e89a5968731cdaa9dd41f1f60c",
+    "tsv": "8117c9fc4ad37cf0f992f79777b0722d3558582fc59dcdd1d3e35160eb69b37d",
+    "pretty": "d396811ef54c9648ec665842b7d2679cef3c2d7265ccb638a766b217f2b46508",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MIN_LENGTH_GOLDEN))
+def test_min_length_stdout_is_frozen(capsys, fmt):
+    out = ""
+    for kind, rank, profile, word in MIN_LENGTH_WORDS:
+        code, part, _ = run(capsys, "min-length", "--type", kind, "--rank", rank,
+                            "--profile", profile, "--word", word, "--format", fmt)
+        assert code == 0, word
+        out += part
+    assert hashlib.sha256(out.encode()).hexdigest() == MIN_LENGTH_GOLDEN[fmt]

@@ -5,6 +5,7 @@ import pytest
 from dlperiod import CapacityError, UsageError
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
+    WeylElem,
     act,
     coxeter_length,
     enumerate_group,
@@ -131,6 +132,18 @@ def test_cached_group_table_respects_cap():
     with pytest.raises(CapacityError):
         reduce_to_minimal(from_word(rs, "s1 s2"), cap=47)
     assert group_table(rs, cap=48) is group_table(rs)
+
+
+def test_class_walks_reject_elements_outside_the_group():
+    rs = build_root_system("B", 3, "paper5")
+    perm = list(range(len(rs.doubled)))
+    # swapping two roots and fixing a basis of the others: only the identity
+    # fixes that basis, and it swaps nothing
+    perm[0], perm[1] = perm[1], perm[0]
+    w = WeylElem(rs, tuple(perm))
+    for walk in (reduce_to_minimal, shift_closure, twisted_class, min_length_bruteforce):
+        with pytest.raises(UsageError, match="does not belong"):
+            walk(w)
 
 
 # --- distinguished representatives -----------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 from dlperiod import CapacityError, UsageError
 from dlperiod.gfflag import (
     Cochar,
+    Field,
     build_extension,
     cochar,
     complete_dims,
@@ -316,10 +318,13 @@ def test_odd_characteristic_add_table_field_laws():
             assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
 
 
-@pytest.mark.parametrize("p,k", [(3, 7), (3, 8), (5, 5), (7, 4), (1031, 1)])
+@pytest.mark.parametrize(
+    "p,k", [(3, 7), (3, 8), (5, 5), (7, 4), (37, 3), (31, 2), (7, 5), (1031, 1)]
+)
 def test_big_odd_fields_add_digit_wise(p, k):
-    # above 1,024 elements addition reads two half-digit tables (a prime
-    # field adds mod p); seeded pairs must add digit by digit mod p
+    # above 256 elements addition reads one table of at most 256 rows chunk
+    # by chunk (a prime field adds mod p); seeded pairs must add digit by
+    # digit mod p
     fld = field_build(p, k)
     assert fld._sums is None
 
@@ -334,10 +339,23 @@ def test_big_odd_fields_add_digit_wise(p, k):
         assert s == fld.add(b, a) and fld.add(a, fld.neg(a)) == 0
 
 
+@pytest.mark.parametrize("p,k", [(31, 2), (3, 6)])
+def test_odd_field_add_table_stays_small(p, k):
+    # a full add table would hold p^k rows of p^k entries (27 MiB for
+    # GF(31^2)); the chunked one has at most 256 rows
+    tracemalloc.start()
+    try:
+        Field(p, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("q,e", [(3, 7), (5, 5)])
 def test_big_odd_fields_count_lines(q, e):
-    # GF(3^7) and GF(5^5) exceed the 1,024-element add table, so echelon
-    # steps subtract through the half-digit tables; on the projective line
+    # GF(3^7) and GF(5^5) exceed the 256-element add table, so echelon
+    # steps subtract chunk by chunk; on the projective line
     # q + 1 points are rational and the other q^e - q are not
     assert field_build(q, e)._sums is None
     assert dl_point_tally(2, q, e) == {(0, 1): q + 1, (1, 0): q**e - q}

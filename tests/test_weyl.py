@@ -133,6 +133,39 @@ def test_coxeter_length_matches_cayley_distance():
             assert coxeter_length(w) == dist[w.matrix], (spec, w.word)
 
 
+def least_reduced_words(rs):
+    """The lexicographically least reduced word of every element, keyed by
+    root permutation: a breadth-first walk over words that takes each level
+    in the order of its words and tries generators in their listed order, so
+    the first word to reach a new element is its least reduced word."""
+    level = {tuple(range(len(rs.doubled))): ()}
+    least = dict(level)
+    while level:
+        nxt = {}
+        for p, word in sorted(level.items(), key=lambda item: item[1]):
+            for g, s in enumerate(rs.gen_perms):
+                x = tuple(p[i] for i in s)  # p * s: s acts first
+                if x not in least and x not in nxt:
+                    nxt[x] = word + (g,)
+        least.update(nxt)
+        level = nxt
+    return least
+
+
+def test_word_is_the_least_reduced_word():
+    for spec in [("A", 3, "bourbaki"), ("B", 3, "paper5"), ("D", 4, "paper5"),
+                 ("G", 2, "bourbaki"), ("F", 4, "bourbaki")]:
+        rs = build_root_system(*spec)
+        least = least_reduced_words(rs)
+        group = enumerate_group(rs)
+        assert len(group) == len(least), spec
+        for w in group:
+            assert w.word == least[w.perm], (spec, w.word)
+    # the word is the element's, not the one it was built from
+    rs = build_root_system("B", 2, "paper5")
+    assert from_word(rs, "s1 t t s1 s1").word == from_word(rs, "s1").word == (1,)
+
+
 def test_reduced_word_and_support():
     for spec in [("B", 3, "paper5"), ("A", 3, "bourbaki"), ("D", 4, "paper5")]:
         rs = build_root_system(*spec)
@@ -161,8 +194,10 @@ def test_group_ops():
     b = from_word(rs, "s2 s1 s2")
     assert multiply(a, inverse(a)).matrix == identity(rs.ambient)
     assert multiply(a, b).matrix == matmul(a.matrix, b.matrix)
-    assert multiply(a, b).word == a.word + b.word
-    assert inverse(b).word == tuple(reversed(b.word))
+    for x in (multiply(a, b), inverse(b)):
+        # the derived word rebuilds the element and is reduced
+        assert from_word(rs, word_names(rs, x.word)) == x
+        assert len(x.word) == coxeter_length(x)
     with pytest.raises(ValueError):
         act(a, (Q(1), Q(2)))  # ambient is 3 here
 
@@ -222,9 +257,7 @@ def test_length_distribution_matches_poincare_polynomial():
         rs = build_root_system(*spec)
         counts = Counter()
         for w in enumerate_group(rs):
-            lw = coxeter_length(w)
-            assert len(w.word) == lw, (spec, w.word)  # breadth-first words are geodesic
-            counts[lw] += 1
+            counts[coxeter_length(w)] += 1
         expected = poincare_coefficients(DEGREES[spec[:2]])
         assert [counts[k] for k in range(len(expected))] == expected, spec
         assert sum(counts.values()) == sum(expected), spec
