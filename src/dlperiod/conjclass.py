@@ -4,7 +4,10 @@ Shift steps are the moves `w -> s * w * F(s)` for a generator `s` and an
 automorphism `F` of the generator set (default: identity).  Downward
 closures of such moves (never increasing `coxeter_length`) reach a
 minimal-length member of the twisted class; the BFS here records a
-replayable chain of steps.
+replayable chain of steps.  The walks compose root permutations directly
+and visit only the class (or its downward closure), never the whole group.
+All four walks raise CapacityError when the group's order exceeds `cap`
+and UsageError when the element is not in the group.
 
 The second half of the module builds the distinguished representatives
 indexed by a composition with signs (and for kind D an extra left factor
@@ -22,19 +25,17 @@ from . import UsageError
 from .rootsys import RootSystem, build_root_system, normalize_kind
 from .weyl import (
     DEFAULT_GROUP_CAP,
-    Perm,
     WeylElem,
     checked_order,
     compose,
     coxeter_length,
-    enumerate_group,
     from_word,
     parse_word,
+    reduced_word,
 )
 
 __all__ = [
     "GPDatum",
-    "GroupTable",
     "ReductionChain",
     "ShiftStep",
     "cyclic_shift_step",
@@ -42,7 +43,6 @@ __all__ = [
     "gp_enumerate",
     "gp_system",
     "gp_word_tokens",
-    "group_table",
     "min_length_bruteforce",
     "reduce_to_minimal",
     "shift_closure",
@@ -50,46 +50,6 @@ __all__ = [
 ]
 
 GenMap = Optional[Dict[Union[int, str], Union[int, str]]]
-
-
-class GroupTable:
-    """Dense multiplication tables for a small group, indexed by ints.
-
-    Element 0 is the identity and elements come in breadth-first order;
-    `index` maps root permutations to element indices.  Built lazily per
-    root system and cached, since every twisted-class walk in a given group
-    shares the same tables.
-    """
-
-    def __init__(self, rs: RootSystem, cap: int):
-        self.rs = rs
-        self.elems: List[WeylElem] = enumerate_group(rs, cap)
-        self.index: Dict[Perm, int] = {w.perm: i for i, w in enumerate(self.elems)}
-        gens = rs.gen_perms
-        self.ngens = len(gens)
-        self.length: List[int] = [coxeter_length(w) for w in self.elems]
-        self.right: List[List[int]] = []
-        self.left: List[List[int]] = []
-        for w in self.elems:
-            p = w.perm
-            self.right.append([self.index[compose(p, g)] for g in gens])
-            self.left.append([self.index[compose(g, p)] for g in gens])
-
-    def conj_step(self, i: int, g: int, fperm: Optional[Tuple[int, ...]]) -> int:
-        """Index of s_g * elems[i] * F(s_g)."""
-        gg = g if fperm is None else fperm[g]
-        return self.left[self.right[i][gg]][g]
-
-
-def group_table(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
-    """The cached table of rs; raises CapacityError when the group exceeds
-    `cap`, whether or not the table is cached already."""
-    return _cached_table(rs, checked_order(rs, cap))
-
-
-@lru_cache(maxsize=None)
-def _cached_table(rs: RootSystem, order: int) -> GroupTable:
-    return GroupTable(rs, order)
 
 
 def _position_of(rs: RootSystem, key) -> int:
@@ -139,45 +99,47 @@ def cyclic_shift_step(w: WeylElem, gen: int, F: GenMap = None) -> WeylElem:
     return WeylElem(w.rs, compose(gens[gen], compose(w.perm, fs)))
 
 
-def _closure_bfs(
-    tbl: GroupTable,
-    start: int,
-    fperm: Optional[Tuple[int, ...]],
-    monotone: bool,
-) -> Tuple[List[int], Dict[int, Tuple[int, int]]]:
-    """BFS over shift moves.  monotone=True restricts to nonincreasing length.
-
-    Returns (discovery order, parents) where parents[j] = (i, gen)."""
-    seen = {start}
-    order = [start]
-    parents: Dict[int, Tuple[int, int]] = {}
-    for i in order:  # grows while it is read: a breadth-first queue
-        li = tbl.length[i]
-        for g in range(tbl.ngens):
-            j = tbl.conj_step(i, g, fperm)
-            if j in seen:
-                continue
-            if monotone and tbl.length[j] > li:
-                continue
-            seen.add(j)
-            parents[j] = (i, g)
-            order.append(j)
-    return order, parents
-
-
 def _class_walk(
     w: WeylElem, F: GenMap, cap: int, monotone: bool
-) -> Tuple[GroupTable, List[int], Dict[int, Tuple[int, int]]]:
-    """Enter a class walk: normalize F, check the cap, find w in the table
-    (UsageError when it is not in the group), and run `_closure_bfs`."""
-    fperm = _normalize_f(w.rs, F)
-    tbl = group_table(w.rs, cap)
-    try:
-        start = tbl.index[w.perm]
-    except KeyError:
-        raise UsageError("element does not belong to the table's group") from None
-    order, parents = _closure_bfs(tbl, start, fperm, monotone)
-    return tbl, order, parents
+) -> Tuple[List[WeylElem], List[int], List[Tuple[int, int]]]:
+    """Breadth-first walk over the shift moves from w, generators tried in
+    their listed order; monotone=True drops moves that raise the length.
+
+    Checks the cap and raises UsageError when w is not in the group.
+    Returns the elements in discovery order, their coxeter_length, and
+    parents: parents[j] = (i, gen) for each element j > 0 of the walk.
+    """
+    rs = w.rs
+    fperm = _normalize_f(rs, F)
+    checked_order(rs, cap)
+    reduced_word(w)  # the membership test
+    gens = rs.gen_perms
+    # move g sends x to s_g x F(s_g): root i to s(x(fs[i])).  An element is
+    # determined by the images of the simple roots, so visited elements are
+    # keyed by those; only new ones are composed in full.
+    moves = [
+        (s.__getitem__, fs, tuple(fs[b] for b in rs.base_idx))
+        for s, fs in zip(gens, gens if fperm is None else [gens[f] for f in fperm])
+    ]
+    seen = {tuple(map(w.perm.__getitem__, rs.base_idx))}
+    elems = [w]
+    lengths = [coxeter_length(w)]
+    parents: List[Tuple[int, int]] = [(0, 0)]  # the start has none
+    for i, x in enumerate(elems):  # grows while it is read: a breadth-first queue
+        at = x.perm.__getitem__
+        for g, (s, fs, fkey) in enumerate(moves):
+            key = tuple(map(s, map(at, fkey)))
+            if key in seen:
+                continue
+            y = WeylElem(rs, tuple(map(s, map(at, fs))))
+            ly = coxeter_length(y)
+            if monotone and ly > lengths[i]:
+                continue
+            seen.add(key)
+            elems.append(y)
+            lengths.append(ly)
+            parents.append((i, g))
+    return elems, lengths, parents
 
 
 def reduce_to_minimal(
@@ -189,31 +151,29 @@ def reduce_to_minimal(
     coxeter_length; the terminal is the first minimum-length element in
     discovery order, so the result is deterministic.
     """
-    tbl, order, parents = _class_walk(w, F, cap, monotone=True)
-    terminal = min(order, key=tbl.length.__getitem__)  # the first of least length
+    elems, lengths, parents = _class_walk(w, F, cap, monotone=True)
+    terminal = lengths.index(min(lengths))  # the first of least length
     steps: List[ShiftStep] = []
     j = terminal
-    while j in parents:  # back to the start, the one element without a parent
+    while j:  # back to the start, element 0
         i, g = parents[j]
-        steps.append(ShiftStep(gen=g, source=tbl.elems[i], target=tbl.elems[j]))
+        steps.append(ShiftStep(gen=g, source=elems[i], target=elems[j]))
         j = i
-    return ReductionChain(tbl.elems[order[0]], tuple(reversed(steps)), tbl.elems[terminal])
+    return ReductionChain(w, tuple(reversed(steps)), elems[terminal])
 
 
 def shift_closure(
     w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
 ) -> List[WeylElem]:
     """All elements reachable from w by nonincreasing shift steps (BFS order)."""
-    tbl, order, _ = _class_walk(w, F, cap, monotone=True)
-    return [tbl.elems[i] for i in order]
+    return _class_walk(w, F, cap, monotone=True)[0]
 
 
 def twisted_class(
     w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
 ) -> List[WeylElem]:
     """The whole twisted conjugacy class of w (BFS order, no length filter)."""
-    tbl, order, _ = _class_walk(w, F, cap, monotone=False)
-    return [tbl.elems[i] for i in order]
+    return _class_walk(w, F, cap, monotone=False)[0]
 
 
 def min_length_bruteforce(
@@ -221,8 +181,7 @@ def min_length_bruteforce(
 ) -> int:
     """Minimum coxeter_length over the full twisted class (independent of
     the shift heuristics; used as the reference in tests)."""
-    tbl, order, _ = _class_walk(w, F, cap, monotone=False)
-    return min(tbl.length[i] for i in order)
+    return min(_class_walk(w, F, cap, monotone=False)[1])
 
 
 # ---------------------------------------------------------------------------

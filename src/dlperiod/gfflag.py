@@ -706,11 +706,17 @@ def _tally_key(n: int, q: int, e: int) -> Tuple[int, int, int]:
     return n, q, e
 
 
+def _dl_tally(n: int, q: int, e: int, cap: int) -> Dict[Tuple[int, ...], int]:
+    """The tally, cap-checked before the cached call so that the cache
+    holds one entry per (n, q, e) whatever the cap."""
+    _check_cap(build_extension(q, e), n, complete_dims(n), cap)
+    return dict(_dl_tally_cached(n, q, e))
+
+
 @lru_cache(maxsize=16)
-def _dl_tally_cached(n: int, q: int, e: int, cap: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     fld = build_extension(q, e)
     dims = complete_dims(n)
-    _check_cap(fld, n, dims, cap)
     size = fld.size
     frob = fld.frob_map(q)
     unfrob = [0] * size
@@ -752,7 +758,9 @@ def _dl_tally_cached(n: int, q: int, e: int, cap: int) -> Tuple[Tuple[Tuple[int,
     # special set below share one rank matrix, evaluated once.  The walk is
     # suspended at each V_{n-2} it yields, so rank holds that node's entries.
     counts: Counter = Counter()
-    for ctx in _walk(fld, n, dims[:-1], cap, enter, ([()], (), ())):
+    # the caller checked the cap on the complete flags; the walk visits fewer
+    walk_cap = flag_count(n, dims, size)
+    for ctx in _walk(fld, n, dims[:-1], walk_cap, enter, ([()], (), ())):
         base = ctx[2]
         taken = {pv for pv, _row in base}
         c1, c2 = [c for c in range(n) if c not in taken]
@@ -791,7 +799,7 @@ def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> Dict[
     Keys are 0-based one-line permutations; values sum to the number of
     complete flags over GF(q^e)."""
     n, q, e = _tally_key(n, q, e)
-    return dict(_dl_tally_cached(n, q, e, cap))
+    return _dl_tally(n, q, e, cap)
 
 
 def dl_point_count(
@@ -800,7 +808,7 @@ def dl_point_count(
     """Number of complete flags at relative position w from their image."""
     n, q, e = _tally_key(n, q, e)
     perm = _normalize_perm(n, w)
-    return dict(_dl_tally_cached(n, q, e, cap)).get(perm, 0)
+    return _dl_tally(n, q, e, cap).get(perm, 0)
 
 
 def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -901,17 +909,23 @@ def _rational_subspaces(fld: Field, q: int, n: int) -> Tuple[State, ...]:
     return tuple(st for d in range(1, n) for st in _echelon_bases(scal, range(n), n, d))
 
 
-def _slope_test(fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int):
+def _slope_test(fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int, cap: int):
     """The semistability test as a walk: (enter, root) for ``_walk``.
 
     The flag's graded piece between cuts i-1 and i has weight seg[i-1], so
     deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]}).
     A context holds (dim U, state of U + V_d, the sum so far) for every
     rational proper U; the last depth returns whether no U has slope
-    deg U / dim U above the total slope sum(nu) / n.
+    deg U / dim U above the total slope sum(nu) / n.  Raises CapacityError
+    before building the U's when there are more than `cap` of them.
     """
     extend = _extender(fld)
     n, total = len(vnu), sum(vnu)
+    count = sum(gaussian_binomial(n, d, q) for d in range(1, n))
+    if count > cap:
+        raise CapacityError(
+            f"GF({q})^{n} has {count} rational proper subspaces, exceeding cap {cap}"
+        )
     seg = [vnu[0]] + [vnu[d] for d in dims]
     last = len(dims) - 1
 
@@ -949,7 +963,7 @@ def semistable(nu, flag: Flag, q: int) -> bool:
     prime_power(q)
     if not flag.dims:
         return True  # the trivial flag
-    enter, ctx = _slope_test(flag.field, vnu, flag.dims, q)
+    enter, ctx = _slope_test(flag.field, vnu, flag.dims, q, DEFAULT_ENUM_CAP)
     for depth, step in enumerate(flag.steps):
         ctx = enter(depth, step, None, ctx)
     return ctx
@@ -966,5 +980,6 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     dims = nu_jump_dims(vnu)
     if not dims:
         return 1  # the trivial flag, vacuously semistable
-    enter, root = _slope_test(fld, vnu, dims, q)
+    _check_cap(fld, n, dims, cap)
+    enter, root = _slope_test(fld, vnu, dims, q, cap)
     return sum(_walk(fld, n, dims, cap, enter, root))

@@ -333,18 +333,23 @@ def reduced_word(w: WeylElem) -> Word:
     """The lexicographically least reduced word (0-based positions).
 
     Any left descent can begin a reduced word, so peeling the smallest one
-    at each step gives the least word.
+    at each step gives the least word.  Each peel shortens a group element,
+    which reaches the identity within N peels (N positive roots); any other
+    permutation raises UsageError.
     """
     rs = w.rs
     inv = _invert(w.perm)
     out: List[int] = []
-    while True:
+    for _ in range(len(rs.positive_roots) + 1):
         found = _left_descents(rs, inv)
         if not found:
-            return tuple(out)
+            if inv == tuple(range(len(inv))):
+                return tuple(out)
+            break
         g = found[0]
         out.append(g)
         inv = compose(inv, rs.gen_perms[g])  # (s_g w)^-1 = w^-1 s_g
+    raise UsageError(f"root permutation does not belong to the group of {rs}")
 
 
 def support(w: WeylElem) -> frozenset:

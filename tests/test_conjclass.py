@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -20,7 +21,6 @@ from dlperiod.conjclass import (
     gp_enumerate,
     gp_system,
     gp_word_tokens,
-    group_table,
     min_length_bruteforce,
     reduce_to_minimal,
     shift_closure,
@@ -123,15 +123,33 @@ def test_shift_closure_contains_start_and_is_length_monotone():
     assert all(coxeter_length(x) <= lw for x in cl)
 
 
-def test_cached_group_table_respects_cap():
+def test_class_walks_respect_the_group_order_cap():
     rs = build_root_system("B", 3)
-    assert len(group_table(rs).elems) == 48
+    w = from_word(rs, "s1 s2")
     with pytest.raises(CapacityError) as exc:
-        group_table(rs, cap=10)
+        reduce_to_minimal(w, cap=47)
     assert "48" in str(exc.value)
-    with pytest.raises(CapacityError):
-        reduce_to_minimal(from_word(rs, "s1 s2"), cap=47)
-    assert group_table(rs, cap=48) is group_table(rs)
+    assert reduce_to_minimal(w, cap=48) == reduce_to_minimal(w)
+
+
+@pytest.mark.parametrize("spec", [
+    ("E", 6, "bourbaki"), ("F", 4, "bourbaki"), ("B", 5, "paper5"), ("D", 5, "paper5"),
+])
+def test_reduction_chains_on_seeded_words(spec):
+    rs = build_root_system(*spec)
+    rng = random.Random(7)
+    for _ in range(6):
+        w = from_word(rs, [rng.randrange(len(rs.gen_names)) + 1 for _ in range(12)])
+        chain = reduce_to_minimal(w)
+        cur, lengths = w, [coxeter_length(w)]
+        for step in chain.steps:
+            assert step.source == cur
+            cur = cyclic_shift_step(cur, step.gen)
+            assert step.target == cur
+            lengths.append(coxeter_length(cur))
+        assert cur == chain.terminal
+        assert all(b <= a for a, b in zip(lengths, lengths[1:])), (spec, w.word)
+        assert lengths[-1] == min_length_bruteforce(w), (spec, w.word)
 
 
 def test_class_walks_reject_elements_outside_the_group():

@@ -10,6 +10,8 @@ from dlperiod import CapacityError, UsageError
 from dlperiod.gfflag import (
     Cochar,
     Field,
+    _dl_tally_cached,
+    _rational_subspaces,
     build_extension,
     cochar,
     complete_dims,
@@ -286,6 +288,26 @@ def test_caps_are_enforced():
         period_point_count((1, 0, 0), 2, 3, cap=10)
     with pytest.raises(CapacityError):
         omega_point_count(3, 2, 3, cap=10)
+
+
+def test_period_count_checks_its_caps_before_building_subspaces():
+    before = _rational_subspaces.cache_info()
+    # 255 lines over GF(2), over the flag cap
+    with pytest.raises(CapacityError, match="255"):
+        period_point_count((1,) + (0,) * 7, 2, 1, cap=10)
+    # 511 lines, within the cap, but 8,283,456 rational subspaces
+    with pytest.raises(CapacityError, match="8283456"):
+        period_point_count((1,) + (0,) * 8, 2, 1)
+    assert _rational_subspaces.cache_info() == before
+
+
+def test_tally_cache_ignores_the_cap():
+    dl_point_tally(4, 2, 2)
+    hits = _dl_tally_cached.cache_info().hits
+    misses = _dl_tally_cached.cache_info().misses
+    dl_point_tally(4, 2, 2, cap=10**7)
+    assert _dl_tally_cached.cache_info().hits == hits + 1
+    assert _dl_tally_cached.cache_info().misses == misses
 
 
 def test_field_primitive_elements_pinned():

@@ -8,6 +8,7 @@ from dlperiod import CapacityError, UsageError
 from dlperiod.linalg import identity, matmul
 from dlperiod.rootsys import build_root_system, reflect
 from dlperiod.weyl import (
+    WeylElem,
     act,
     coxeter_length,
     coxeter_standard,
@@ -177,6 +178,21 @@ def test_reduced_word_and_support():
     assert support(from_word(rs, "t s1 t")) == {1, 2}
     assert support(from_word(rs, "t t")) == set()
     assert support(from_word(rs, "t")) == {1}
+
+
+@pytest.mark.parametrize("spec", [("B", 3, "paper5"), ("A", 2, "bourbaki")])
+def test_word_of_a_permutation_outside_the_group(spec):
+    # swapping two roots and fixing a basis of the others: only the identity
+    # fixes that basis, and it swaps nothing.  In B3 paper5 every peel finds
+    # a descent without shortening; in A2 the swap keeps the positive roots
+    # positive, so there is no descent to peel at all.
+    rs = build_root_system(*spec)
+    perm = list(range(len(rs.doubled)))
+    perm[0], perm[1] = perm[1], perm[0]
+    w = WeylElem(rs, tuple(perm))
+    for read in (lambda x: x.word, str, support):
+        with pytest.raises(UsageError, match="does not belong"):
+            read(w)
 
 
 def test_descents_and_identity():
