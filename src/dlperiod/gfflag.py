@@ -43,9 +43,18 @@ Three counters are exposed:
   rational over the q-element subfield (an independent computation, used
   to cross-identify the distinguished cell of the first counter);
 * ``period_point_count`` — flags of a fixed type that are semistable for
-  a weakly decreasing integer vector, slope-tested against all rational
-  subspaces U.  Each U's state is built once and extended along the walk,
-  which records dim(U ^ V_d) at each cut.
+  a weakly decreasing integer vector: no rational subspace U has slope
+  above the total.  Both caps (flags, then rational subspaces) are checked
+  before any walk, and every flag is visited and decided exactly, on one
+  of three paths by type.  (a) One cut at a line or a hyperplane: the
+  flag is semistable iff the Frobenius hull of the line (of the
+  hyperplane's normal) is the whole space, whatever the weights, so each
+  flag costs a rank and no U is built.  (b) Last cuts n-2 and n-1: the
+  walk stops at V_{n-2}, and the Q + 1 hyperplanes over it are counted by
+  incidence as in the tally, since each U lies in all of them, in none,
+  or in exactly U + V_{n-2}.  (c) Any other type: each U's state is built
+  once and extended along the walk, which records dim(U ^ V_d) at each
+  cut.  ``semistable`` tests one flag the way path (c) does.
 """
 from __future__ import annotations
 
@@ -902,6 +911,14 @@ def nu_jump_dims(nu: Sequence[int]) -> Tuple[int, ...]:
     return tuple(i + 1 for i in range(len(nu) - 1) if nu[i] > nu[i + 1])
 
 
+def _check_subspace_cap(n: int, q: int, cap: int) -> None:
+    count = sum(gaussian_binomial(n, d, q) for d in range(1, n))
+    if count > cap:
+        raise CapacityError(
+            f"GF({q})^{n} has {count} rational proper subspaces, exceeding cap {cap}"
+        )
+
+
 @lru_cache(maxsize=None)
 def _rational_subspaces(fld: Field, q: int, n: int) -> Tuple[State, ...]:
     """The states of all proper subspaces of fld^n rational over GF(q)."""
@@ -921,11 +938,7 @@ def _slope_test(fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int,
     """
     extend = _extender(fld)
     n, total = len(vnu), sum(vnu)
-    count = sum(gaussian_binomial(n, d, q) for d in range(1, n))
-    if count > cap:
-        raise CapacityError(
-            f"GF({q})^{n} has {count} rational proper subspaces, exceeding cap {cap}"
-        )
+    _check_subspace_cap(n, q, cap)
     seg = [vnu[0]] + [vnu[d] for d in dims]
     last = len(dims) - 1
 
@@ -969,6 +982,84 @@ def semistable(nu, flag: Flag, q: int) -> bool:
     return ctx
 
 
+def _one_cut_count(fld: Field, n: int, d: int, q: int, cap: int) -> int:
+    """Semistable flags with one cut d, a line L (d = 1) or a hyperplane
+    H = ker h (d = n - 1); the weights do not matter.
+
+    Take a rational U of dimension du < n and a > b.  Under (a, b, ..., b)
+    the mean slope is b + (a - b) / n, and U has slope b + (a - b) / du
+    above it if U holds L, b below it if not.  Under (a, ..., a, b) the
+    mean is a - (a - b) / n, and U has slope a if U lies in H,
+    a - (a - b) / du otherwise.  U holds L iff it holds L's Frobenius hull,
+    the span of L, Frob L, ...; U lies in H iff every Frob^k h vanishes on
+    U.  So the flag is semistable iff that hull, of L or of h, is the whole
+    space; the first image that adds nothing closes the hull.
+    """
+    extend, frob, neg = _extender(fld), fld.frob_map(q), fld.neg
+
+    def enter(depth, rows, state, ctx):
+        row = rows[0]
+        if d > 1:
+            # the walk's rows of H are reduced: h is 1 at the non-pivot column
+            # c and -row[c] at each row's pivot
+            (c,) = set(range(n)).difference(pv for pv, _row in state)
+            row = [0] * n
+            row[c] = 1
+            for pv, r in state:
+                row[pv] = neg(r[c])
+        hull: State = ()
+        while True:
+            grown = extend(hull, row)
+            if grown is hull:
+                return len(hull) == n
+            hull, row = grown, [frob[x] for x in row]
+
+    return sum(_walk(fld, n, (d,), cap, enter, None))
+
+
+def _last_pencil_count(
+    fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int, cap: int
+) -> int:
+    """Semistable flags of a type whose last cuts are n-2 and n-1, walked
+    to V_{n-2} only; the Q + 1 hyperplanes H over each V_{n-2} are counted
+    by incidence.
+
+    With s = dim(U + V_{n-2}), U lies in every H when s = n-2, in none when
+    s = n, and in exactly H = U + V_{n-2} when s = n-1; deg U is highest
+    where U lies in H.  A U that destabilizes outside that one H
+    destabilizes every H, otherwise each U removes at most its own H.
+    """
+    n, total = len(vnu), sum(vnu)
+    top, w = vnu[-2], vnu[-2] - vnu[-1]
+    extend = _extender(fld)
+    enter, root = _slope_test(fld, vnu, dims, q, cap)
+
+    def keep_base(depth, rows, state, ctx):
+        return enter(depth, rows, state, ctx[0]), state
+
+    def stable_hyperplanes(ctx, base) -> int:
+        # H = U + V_{n-2} is keyed by a row of U reduced over V_{n-2}: zero
+        # at V_{n-2}'s pivots and scaled to 1, so one key per H
+        special = set()
+        for du, ust, acc in ctx:
+            s = len(ust)
+            # n deg U - sum(nu) du where U lies in H; w n less where it does not
+            excess = (top * du + acc) * n - total * du
+            if excess > (0 if s == n - 2 else w * n):
+                return 0
+            if s == n - 1 and excess > 0:
+                for _pv, row in ust[:du]:  # U's own pairs come first in ust
+                    st = extend(base, row)
+                    if st is not base:
+                        special.add(tuple(st[-1][1]))
+                        break
+        return fld.size + 1 - len(special)
+
+    # the caller checked the cap on the whole flags; the walk visits fewer
+    walk = _walk(fld, n, dims[:-1], cap, keep_base, (root, ()))
+    return sum(stable_hyperplanes(ctx, base) for ctx, base in walk)
+
+
 def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of semistable flags of nu's type over GF(q^e)."""
     vnu = _single_nu(nu)
@@ -981,5 +1072,10 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     if not dims:
         return 1  # the trivial flag, vacuously semistable
     _check_cap(fld, n, dims, cap)
+    _check_subspace_cap(n, q, cap)
+    if ((0,) + dims)[-2:] == (n - 2, n - 1):
+        return _last_pencil_count(fld, vnu, dims, q, cap)
+    if dims in ((1,), (n - 1,)):
+        return _one_cut_count(fld, n, dims[0], q, cap)
     enter, root = _slope_test(fld, vnu, dims, q, cap)
     return sum(_walk(fld, n, dims, cap, enter, root))

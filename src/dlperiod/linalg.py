@@ -30,10 +30,6 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
 def dot(a: Vector, b: Vector) -> Q:
     if len(a) != len(b):
         raise ValueError(f"dot: dimension mismatch {len(a)} vs {len(b)}")
@@ -49,19 +45,6 @@ def sub(a: Vector, b: Vector) -> Vector:
 def scale(c, a: Vector) -> Vector:
     cq = Q(c)
     return tuple(cq * x for x in a)
-
-
-def matvec(m: Matrix, x: Vector) -> Vector:
-    return tuple(dot(row, x) for row in m)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
 def matinv(m: Matrix) -> Matrix:

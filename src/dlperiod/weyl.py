@@ -1,4 +1,4 @@
-"""Reflection-group elements: words, root permutations, actions, and length
+"""Reflection-group elements: words, root permutations, matrices, and length
 functions.
 
 An element is the permutation it induces on the roots of its root system,
@@ -41,18 +41,13 @@ from .linalg import (
     Matrix,
     Vector,
     dot,
-    identity,
     matinv,
-    matmul,
-    matvec,
-    vec,
 )
 from .rootsys import RootSystem, build_root_system, weyl_order
 
 __all__ = [
     "Perm",
     "WeylElem",
-    "act",
     "checked_order",
     "compose",
     "coxeter_length",
@@ -65,7 +60,6 @@ __all__ = [
     "identity_elem",
     "inverse",
     "inversions",
-    "is_reflection_matrix",
     "length",
     "multiply",
     "parse_word",
@@ -275,24 +269,6 @@ def multiply(a: WeylElem, b: WeylElem) -> WeylElem:
 
 def inverse(w: WeylElem) -> WeylElem:
     return WeylElem(w.rs, _invert(w.perm))
-
-
-def act(w: WeylElem, x: Iterable) -> Vector:
-    xv = vec(x)
-    if len(xv) != w.rs.ambient:
-        raise UsageError(
-            f"act: point has {len(xv)} coordinates, ambient is {w.rs.ambient}"
-        )
-    return matvec(w.matrix, xv)
-
-
-def is_reflection_matrix(w: WeylElem) -> bool:
-    """True when w is orthogonal with w^2 = 1 and fixed space of codim 1."""
-    m = w.matrix
-    if matmul(m, m) != identity(w.rs.ambient):
-        return False
-    tr = sum(m[i][i] for i in range(w.rs.ambient))
-    return tr == w.rs.ambient - 2
 
 
 def inversions(w: WeylElem) -> Tuple[int, ...]:

@@ -2,10 +2,14 @@
 
 Deliberately self-contained: these routines re-decide things the package
 also computes, by different algorithms, sharing no code with src/.  Keep
-them dumb and obviously correct rather than fast.
+them dumb and obviously correct rather than fast.  The matrix helpers at
+the end let the Weyl tests act with and multiply an element's exact
+`.matrix`, which the package only derives.
 """
 from fractions import Fraction
 from itertools import combinations
+
+from dlperiod import UsageError
 
 Q = Fraction
 
@@ -99,3 +103,30 @@ def ray_feasible(rows):
         return False
     total = [sum(col) for col in zip(*rays.keys())]
     return all(sum(a * b for a, b in zip(row, total)) > 0 for row in coords)
+
+
+def identity(n):
+    return tuple(tuple(Q(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def matvec(m, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), Q(0)) for row in m)
+
+
+def matmul(a, b):
+    return tuple(matvec(tuple(zip(*b)), row) for row in a)
+
+
+def act(w, x):
+    """A Weyl element's matrix applied to the point x."""
+    xv = tuple(Q(c) for c in x)
+    if len(xv) != w.rs.ambient:
+        raise UsageError(f"act: point has {len(xv)} coordinates, ambient is {w.rs.ambient}")
+    return matvec(w.matrix, xv)
+
+
+def is_reflection_matrix(w):
+    """True when w's matrix squares to the identity and has trace
+    ambient - 2, i.e. a fixed space of codimension 1."""
+    m, n = w.matrix, w.rs.ambient
+    return matmul(m, m) == identity(n) and sum(m[i][i] for i in range(n)) == n - 2

@@ -3,11 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from _oracles import act
 from dlperiod import CapacityError, UsageError
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
     WeylElem,
-    act,
     coxeter_length,
     enumerate_group,
     from_word,

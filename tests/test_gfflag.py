@@ -8,6 +8,7 @@ import pytest
 
 from dlperiod import CapacityError, UsageError
 from dlperiod.gfflag import (
+    DEFAULT_ENUM_CAP,
     Cochar,
     Field,
     _dl_tally_cached,
@@ -430,7 +431,14 @@ def _slope_oracle(nu, flag, rational):
 
 
 @pytest.mark.parametrize(
-    "nu,q,e", [((1, 1, 0), 3, 2), ((1, 0, 0, 0), 2, 2), ((2, 1, 0), 2, 2), ((1, 1, 0, 0), 2, 2)]
+    "nu,q,e",
+    [
+        ((1, 1, 0), 3, 2), ((1, 0, 0, 0), 2, 2), ((2, 1, 0), 2, 2), ((1, 1, 0, 0), 2, 2),
+        # one cut at a line or a hyperplane, weights other than 0/1 and n = 4
+        ((5, 5, 2), 2, 3), ((3, 1, 1), 2, 3), ((1, 1, 1, 0), 2, 2),
+        # last cuts n-2 and n-1: q = 3, n = 4, n = 2
+        ((2, 1, 0), 3, 2), ((3, 2, 1, 0), 2, 1), ((3, 1), 3, 2),
+    ],
 )
 def test_period_count_matches_flagwise_slope_test(nu, q, e):
     fld = build_extension(q, e)
@@ -453,7 +461,26 @@ def _omega_closed_form(n, q, e):
     return total // (big - 1)
 
 
-@pytest.mark.parametrize("n,q,e,count", [(3, 2, 4, 168), (3, 2, 5, 840)])
+@pytest.mark.parametrize(
+    "nu,q,e,count",
+    [
+        ((5, 5, 2), 2, 3, 24), ((3, 1, 1), 2, 3, 24), ((2, 1, 0), 3, 2, 702),
+        # frozen from the walk that extended every rational U along every flag
+        ((3, 2, 1, 0), 2, 2, 2240), ((2, 1, 1, 0), 2, 2, 1120), ((2, 2, 1, 0), 2, 2, 0),
+        ((3, 3, 0, 0), 2, 2, 112),
+    ],
+)
+def test_period_counts_frozen(nu, q, e, count):
+    assert period_point_count(nu, q, e) == count
+
+
+@pytest.mark.parametrize(
+    "n,q,e,count", [(3, 2, 4, 168), (3, 2, 5, 840), (3, 3, 3, 432), (4, 2, 4, 1344)]
+)
 def test_coxeter_cell_matches_moebius_closed_form(n, q, e, count):
     assert _omega_closed_form(n, q, e) == count
-    assert dl_point_count(n, q, e, coxeter_perm(n)) == count
+    assert period_point_count((1,) + (0,) * (n - 1), q, e) == count
+    assert period_point_count((1,) * (n - 1) + (0,), q, e) == count
+    # GF(16)^4 has 20,276,529 complete flags, past the tally's default cap
+    if flag_count(n, complete_dims(n), q**e) <= DEFAULT_ENUM_CAP:
+        assert dl_point_count(n, q, e, coxeter_perm(n)) == count
