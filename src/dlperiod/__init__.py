@@ -2,7 +2,8 @@
 
 The package covers five loosely coupled areas:
 
-* root systems with exact rational coordinates (:mod:`dlperiod.rootsys`),
+* root systems with exact coordinates, held as doubled integer roots
+  (:mod:`dlperiod.rootsys`),
 * reflection-group elements, words, and twisted conjugation
   (:mod:`dlperiod.weyl`, :mod:`dlperiod.conjclass`),
 * strict rational feasibility with positive-combination certificates
@@ -13,7 +14,8 @@ The package covers five loosely coupled areas:
   (:mod:`dlperiod.classify`).
 
 No floating point is used anywhere: every quantity is an integer, a
-`fractions.Fraction`, or a finite-field element.
+`fractions.Fraction`, or a finite-field element.  The computations run on
+integers; Fractions are made only for the values that are shown.
 """
 
 

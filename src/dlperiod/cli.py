@@ -25,6 +25,7 @@ from .conjclass import (
 )
 from .dlcrit import check_dl_criterion, report_payload, scan_gp
 from .gfflag import (
+    DEFAULT_ENUM_CAP,
     dl_point_count,
     omega_point_count,
     period_point_count,
@@ -72,6 +73,15 @@ def _get_rs(args):
     return build_root_system(args.type, args.rank, args.profile)
 
 
+def _parabolic_rows(rs) -> List[Dict]:
+    """The per-node table of the standard system of rs's kind and rank."""
+    table = rank_vs_dim_table(build_root_system(rs.kind, rs.rank, "bourbaki"))
+    return [
+        {"node": i, "dim": d, "minus_rank": diff, "equals_rank": eq}
+        for i, d, diff, eq in table
+    ]
+
+
 def _cmd_roots(args) -> int:
     rs = _get_rs(args)
     payload = {
@@ -86,31 +96,17 @@ def _cmd_roots(args) -> int:
         "trace_zero": rs.trace_zero,
     }
     if args.parabolic_table:
-        payload["parabolic_table"] = [
-            {"node": i, "dim": d, "minus_rank": diff, "equals_rank": eq}
-            for i, d, diff, eq in rank_vs_dim_table(
-                build_root_system(rs.kind, rs.rank, "bourbaki")
-            )
-        ]
+        payload["parabolic_table"] = _parabolic_rows(rs)
     _emit(args, payload)
     return 0
 
 
 def _cmd_parabolic_table(args) -> int:
     rs = build_root_system(args.type, args.rank, "bourbaki")
-    table = rank_vs_dim_table(rs)
-    payload = {
-        "kind": rs.kind,
-        "rank": rs.rank,
-        "rows": [
-            {"node": i, "dim": d, "minus_rank": diff, "equals_rank": eq}
-            for i, d, diff, eq in table
-        ],
-    }
-    rows = (
-        ("node", "dim", "minus_rank", "equals_rank"),
-        [(i, d, diff, eq) for i, d, diff, eq in table],
-    )
+    table = _parabolic_rows(rs)
+    payload = {"kind": rs.kind, "rank": rs.rank, "rows": table}
+    header = ("node", "dim", "minus_rank", "equals_rank")
+    rows = (header, [tuple(r[h] for h in header) for r in table])
     _emit(args, payload, rows)
     return 0
 
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--w", required=True, help="word like 's1 s2' or one-line '1,2,0'")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     common(p)
     p.set_defaults(func=_cmd_count_points)
 
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     common(p)
     p.set_defaults(func=_cmd_omega)
 
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True, help="weakly decreasing ints, e.g. '1,0,0'")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     common(p)
     p.set_defaults(func=_cmd_period_domain)
 

@@ -32,10 +32,11 @@ from .feaslin import (
     FeasibilityResult,
     LinearForm,
     StrictSystem,
+    Vector,
+    integerize,
     strict_feasible,
     verify_witness,
 )
-from .linalg import Vector, integerize
 from .rootsys import build_root_system
 from .weyl import WeylElem, inverse, inversions
 

@@ -10,7 +10,10 @@ produces it explicitly:
 
 Forms are integers over a positive denominator (`LinearForm.num` /
 `LinearForm.den`), so the positive rescaling to integers happens when a
-form is built, and solving and verifying run on integers only.  The
+form is built, and solving and verifying run on integers only.
+`common_denominator` and `integerize` are this module's Fraction boundary:
+rational input becomes integers over one denominator, and an integer
+direction becomes the primitive Fraction vector that is shown.  The
 decision procedure is one exact Phase-I simplex on the Gordan side: each
 form's integers are divided by their gcd, and the LP "sum_i y_i f_i = 0,
 sum_i y_i = 1, y >= 0" is solved from an all-artificial basis by
@@ -29,7 +32,6 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import UsageError
-from .linalg import Vector, common_denominator, integerize, vec
 
 __all__ = [
     "FeasibilityResult",
@@ -44,6 +46,26 @@ __all__ = [
 
 
 IntVector = Tuple[int, ...]
+Vector = Tuple[Q, ...]
+
+
+def common_denominator(a: Sequence) -> Tuple[IntVector, int]:
+    """Integers `num` and the least positive `den` with a == num / den.
+
+    Entries may be ints or Fractions; no Fraction is made.
+    """
+    den = lcm(*(x.denominator for x in a))
+    return tuple(x.numerator * (den // x.denominator) for x in a), den
+
+
+def integerize(a: Sequence) -> Vector:
+    """Scale by a positive rational so entries are coprime integers.
+
+    Entries may be ints or Fractions; the result is a Fraction tuple.
+    """
+    ints, _ = common_denominator(a)
+    g = gcd(*ints) or 1
+    return tuple(Q(v // g) for v in ints)
 
 
 class LinearForm:
@@ -118,7 +140,7 @@ def strict_system(forms: Iterable[Union[LinearForm, Sequence]]) -> StrictSystem:
     """Build a system from LinearForms or raw coefficient sequences."""
     return StrictSystem(
         forms=tuple(
-            f if isinstance(f, LinearForm) else LinearForm(*common_denominator(vec(f)))
+            f if isinstance(f, LinearForm) else LinearForm(*common_denominator([Q(x) for x in f]))
             for f in forms
         )
     )

@@ -81,7 +81,6 @@ __all__ = [
     "flag_from_chain",
     "frobenius_flag",
     "gaussian_binomial",
-    "iter_flags",
     "omega_point_count",
     "perm_from_word",
     "period_point_count",
@@ -579,23 +578,19 @@ def _walk(fld: Field, n: int, dims: Tuple[int, ...], cap: int, enter, root) -> I
     yield from rec(0, (), root)
 
 
-def iter_flags(
+def enumerate_flags(
     fld: Field, n: int, dims: Sequence[int], cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[Flag]:
-    """Generate every flag of the given type exactly once (cap-guarded)."""
+) -> List[Flag]:
+    """Every flag of the given type exactly once (cap-guarded)."""
     dims_t = _check_dims(n, dims)
 
     def enter(depth, rows, state, steps):
         return steps + (_reduced(fld, state),)
 
-    for steps in _walk(fld, n, dims_t, cap, enter, ()):
-        yield Flag(field=fld, n=n, dims=dims_t, steps=steps)
-
-
-def enumerate_flags(
-    fld: Field, n: int, dims: Sequence[int], cap: int = DEFAULT_ENUM_CAP
-) -> List[Flag]:
-    return list(iter_flags(fld, n, dims, cap))
+    return [
+        Flag(field=fld, n=n, dims=dims_t, steps=steps)
+        for steps in _walk(fld, n, dims_t, cap, enter, ())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +710,6 @@ def _tally_key(n: int, q: int, e: int) -> Tuple[int, int, int]:
     return n, q, e
 
 
-def _dl_tally(n: int, q: int, e: int, cap: int) -> Dict[Tuple[int, ...], int]:
-    """The tally, cap-checked before the cached call so that the cache
-    holds one entry per (n, q, e) whatever the cap."""
-    _check_cap(build_extension(q, e), n, complete_dims(n), cap)
-    return dict(_dl_tally_cached(n, q, e))
-
-
 @lru_cache(maxsize=16)
 def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     fld = build_extension(q, e)
@@ -806,9 +794,11 @@ def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> Dict[
     """Count complete flags by relative position with their q-Frobenius image.
 
     Keys are 0-based one-line permutations; values sum to the number of
-    complete flags over GF(q^e)."""
+    complete flags over GF(q^e).  The cap is checked before the cached
+    call, so the cache holds one entry per (n, q, e) whatever the cap."""
     n, q, e = _tally_key(n, q, e)
-    return _dl_tally(n, q, e, cap)
+    _check_cap(build_extension(q, e), n, complete_dims(n), cap)
+    return dict(_dl_tally_cached(n, q, e))
 
 
 def dl_point_count(
@@ -817,7 +807,7 @@ def dl_point_count(
     """Number of complete flags at relative position w from their image."""
     n, q, e = _tally_key(n, q, e)
     perm = _normalize_perm(n, w)
-    return _dl_tally(n, q, e, cap).get(perm, 0)
+    return dl_point_tally(n, q, e, cap).get(perm, 0)
 
 
 def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:

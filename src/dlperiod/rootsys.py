@@ -1,7 +1,13 @@
-"""Finite crystallographic root systems in exact rational coordinates.
+"""Finite crystallographic root systems in exact coordinates.
 
 Each system is realized inside a fixed ambient Q^N with the classical
-coordinate conventions, and carries two generator profiles:
+coordinate conventions.  Every root lies in (1/2)Z^N, so inside the
+program a root is its doubled integer vector: the simple roots are written
+doubled, and the closure, the Cartan integers and the generator
+permutations run on integers.  The public `simple_roots`,
+`positive_roots`, `pos_coords` and `coxeter_positive_roots` are Fraction
+tuples made from those integers once per system, for display.  Each
+system carries two generator profiles:
 
 * ``bourbaki`` — the standard simple roots for each kind,
 * ``paper5`` — an alternative presentation for kinds A, B, D whose first
@@ -35,7 +41,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
 from . import UsageError
-from .linalg import Vector, dot, scale, sub, vec
 
 __all__ = [
     "KINDS",
@@ -46,11 +51,11 @@ __all__ = [
     "parabolic_dim",
     "positive_root_count",
     "rank_vs_dim_table",
-    "reflect",
     "weyl_order",
 ]
 
 IntVector = Tuple[int, ...]
+Vector = Tuple[Q, ...]
 
 KINDS = ("A", "B", "C", "D", "E", "F", "G")
 PROFILES = ("bourbaki", "paper5")
@@ -134,76 +139,45 @@ class RootSystem:
         return f"{self.kind}{self.rank}[{self.profile}]"
 
 
-def reflect(x: Vector, alpha: Vector) -> Vector:
-    """Reflection of x in the hyperplane orthogonal to alpha."""
-    aa = dot(alpha, alpha)
-    if aa == 0:
-        raise ValueError("reflect: zero root")
-    return sub(x, scale(2 * dot(x, alpha) / aa, alpha))
+def _chain(n: int, count: int) -> Tuple[IntVector, ...]:
+    """Doubled e_i - e_{i+1} for i < count, in an n-dimensional ambient."""
+    return tuple(
+        tuple(2 if j == i else -2 if j == i + 1 else 0 for j in range(n))
+        for i in range(count)
+    )
 
 
-def _standard_simples(kind: str, rank: int) -> Tuple[int, Tuple[Vector, ...]]:
-    """Ambient dimension and the standard simple roots for (kind, rank)."""
-    h = Q(1, 2)
+def _standard_simples(kind: str, rank: int) -> Tuple[int, Tuple[IntVector, ...]]:
+    """Ambient dimension and the doubled standard simple roots for (kind, rank)."""
     if kind == "A":
-        n = rank + 1
-        return n, tuple(
-            vec([1 if j == i else -1 if j == i + 1 else 0 for j in range(n)])
-            for i in range(rank)
-        )
+        return rank + 1, _chain(rank + 1, rank)
     if kind in ("B", "C", "D"):
-        n = rank
-        simples = [
-            vec([1 if j == i else -1 if j == i + 1 else 0 for j in range(n)])
-            for i in range(rank - 1)
-        ]
-        if kind == "B":
-            simples.append(vec([0] * (n - 1) + [1]))
-        elif kind == "C":
-            simples.append(vec([0] * (n - 1) + [2]))
-        else:
-            simples.append(vec([0] * (n - 2) + [1, 1]))
-        return n, tuple(simples)
+        last = {"B": (0, 2), "C": (0, 4), "D": (2, 2)}[kind]
+        return rank, (*_chain(rank, rank - 1), (0,) * (rank - 2) + last)
     if kind == "E":
-        first = tuple([h, -h, -h, -h, -h, -h, -h, h])
-        second = vec([1, 1, 0, 0, 0, 0, 0, 0])
+        first = (1, -1, -1, -1, -1, -1, -1, 1)
+        second = (2, 2, 0, 0, 0, 0, 0, 0)
         rest = [
-            vec([(-1 if j == i - 3 else 1 if j == i - 2 else 0) for j in range(8)])
+            tuple(-2 if j == i - 3 else 2 if j == i - 2 else 0 for j in range(8))
             for i in range(3, 9)
         ]
-        alls = (first, second, *rest)
-        return 8, alls[:rank]
+        return 8, (first, second, *rest)[:rank]
     if kind == "F":
-        return 4, (
-            vec([0, 1, -1, 0]),
-            vec([0, 0, 1, -1]),
-            vec([0, 0, 0, 1]),
-            (h, -h, -h, -h),
-        )
+        return 4, ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
     # G2 in the sum-zero-friendly 3-coordinate model
-    return 3, (vec([1, -1, 0]), vec([-2, 1, 1]))
+    return 3, ((2, -2, 0), (-4, 2, 2))
 
 
-def _paper5_simples(kind: str, rank: int) -> Tuple[Tuple[Vector, ...], Tuple[str, ...]]:
-    """Generator roots + names for the paper5 profile (kinds A, B, D only)."""
-    n_names = tuple(f"s{i}" for i in range(1, rank))
+def _paper5_simples(kind: str, rank: int) -> Tuple[Tuple[IntVector, ...], Tuple[str, ...]]:
+    """Doubled generator roots + names for the paper5 profile (kinds A, B, D only)."""
     if kind == "A":
-        _, simples = _standard_simples("A", rank)
-        return simples, tuple(f"s{i}" for i in range(1, rank + 1))
-    chain = tuple(
-        vec([1 if j == i else -1 if j == i + 1 else 0 for j in range(rank)])
-        for i in range(rank - 1)
-    )
+        return _chain(rank + 1, rank), tuple(f"s{i}" for i in range(1, rank + 1))
+    n_names = tuple(f"s{i}" for i in range(1, rank))
+    chain = _chain(rank, rank - 1)
     if kind == "B":
-        extra = vec([1] + [0] * (rank - 1))
-        return (extra, *chain), ("t", *n_names)
+        return ((2,) + (0,) * (rank - 1), *chain), ("t", *n_names)
     # kind D
-    extra = vec([1, 1] + [0] * (rank - 2))
-    return (extra, *chain), ("tp", *n_names)
-
-
-def _doubled(vs: Iterable[Vector]) -> Tuple[IntVector, ...]:
-    return tuple(tuple(int(2 * x) for x in v) for v in vs)
+    return ((2, 2) + (0,) * (rank - 2), *chain), ("tp", *n_names)
 
 
 def _fractions(rows: Iterable[IntVector], den: int) -> Tuple[Vector, ...]:
@@ -264,12 +238,12 @@ def _reflection_perm(
 def _root_table(kind: str, rank: int):
     """The root numbering of (kind, rank), shared by both profiles.
 
-    Returns (ambient, standard simple roots, doubled roots by index, index
-    of each doubled root, Fraction roots by index, simple-root coordinates
-    of the positive roots).
+    Returns (ambient, doubled standard simple roots, doubled roots by index,
+    index of each doubled root, Fraction roots by index, simple-root
+    coordinates of the positive roots).
     """
     ambient, std = _standard_simples(kind, rank)
-    pos2, coords = _orbit_closure(_doubled(std))
+    pos2, coords = _orbit_closure(std)
     npos = positive_root_count(kind, rank)
     if len(pos2) != npos:
         raise AssertionError(
@@ -313,7 +287,7 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
     else:
         gens, names = _paper5_simples(kind, rank)
         trace_zero = kind == "A"
-    base = _doubled(gens)
+    base = gens
     if profile == "paper5" and kind != "A":
         # the generators are the simple reflections of the base obtained by
         # flipping the extra root; positivity is recomputed against it
@@ -330,7 +304,7 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         rank=rank,
         profile=profile,
         ambient=ambient,
-        simple_roots=gens,
+        simple_roots=_fractions(gens, 2),
         gen_names=names,
         positive_roots=pos,
         pos_coords=coords,

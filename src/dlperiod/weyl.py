@@ -8,7 +8,9 @@ tuples, and lengths, descents and reduced words are read off them.  The
 exact ambient matrix (`WeylElem.matrix`) and the least reduced word
 (`WeylElem.word`) are derived from the permutation on each read; the
 matrix sends each standard simple root to its image and fixes the
-orthogonal complement of the roots.
+orthogonal complement of the roots.  Its integer frame comes from sums
+over the doubled positive roots, with no Gram matrix to invert; Fractions
+are made only for the matrix rows it returns.
 
 Words are sequences of generator *names* (`"s1"`, `"t"`, `"tp"`, ...);
 1-based generator positions are accepted as integer tokens.  Extended
@@ -33,17 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from typing import Dict, Iterable, List, Tuple, Union
 
 from . import CapacityError, UsageError
-from .linalg import (
-    Matrix,
-    Vector,
-    dot,
-    matinv,
-)
-from .rootsys import RootSystem, build_root_system, weyl_order
+from .rootsys import RootSystem, Vector, build_root_system, weyl_order
 
 __all__ = [
     "Perm",
@@ -71,6 +67,7 @@ __all__ = [
 Word = Tuple[int, ...]  # 0-based generator positions (internal canonical form)
 WordLike = Union[str, Iterable[Union[int, str]]]
 Perm = Tuple[int, ...]  # perm[i] = index of the image of root i
+Matrix = Tuple[Vector, ...]  # rows
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -128,23 +125,35 @@ class _MatrixFrame:
     den * (root k) d_i^T, both flattened row by row, so M takes one integer
     sum per entry.  Rows are interned: a group's matrices share few rows,
     so derived matrices hold little memory of their own.
+
+    The duals are integer root sums.  The sum of beta beta^T over all roots
+    beta is W-invariant, and every kind here is irreducible, so on the root
+    span it is a scalar multiple of the identity (Bourbaki, Lie Groups,
+    Ch. VI, 1.12).  Pairing that identity with d_i, whose pairing with beta
+    is the i-th simple coordinate of beta, gives
+    c d_i = sum_{beta > 0} coord_i(beta) b with b the doubled root beta,
+    and pairing it with any doubled root a gives
+    c = sum_{beta > 0} (a, b)^2 / (2 (a, a)).
     """
 
     def __init__(self, rs: RootSystem):
-        simples = rs.simple_roots
-        gram = [tuple(dot(a, b) for b in simples) for a in simples]
-        ginv = matinv(gram)
         n = self.n = rs.ambient
-        duals = [
-            [sum((g * a[c] for g, a in zip(row, simples)), Q(0)) for c in range(n)]
-            for row in ginv
+        pos = rs.doubled[: len(rs.pos_coords)]
+        coords = [[x.numerator for x in c] for c in rs.pos_coords]
+        sums = [
+            [sum(c[i] * b[k] for c, b in zip(coords, pos)) for k in range(n)]
+            for i in range(rs.rank)
         ]
-        half = lcm(*(x.denominator for d in duals for x in d))  # roots are doubled
-        self.den = 2 * half
+        a = pos[0]
+        s = sum(sum(x * y for x, y in zip(a, b)) ** 2 for b in pos)
+        t = 2 * sum(x * x for x in a)  # d_i = sums[i] * t / s
+        g = gcd(s, t * gcd(*(x for d in sums for x in d)))
+        half = s // g  # the least common denominator of the duals
+        self.den = 2 * half  # roots are doubled
         self.simples = rs.base_idx
         self.terms = tuple(
             tuple(tuple(x * e for x in r for e in d) for r in rs.doubled)
-            for d in ([int(x * half) for x in d] for d in duals)
+            for d in ([x * t // g for x in d] for d in sums)
         )
         self.const = tuple(
             self.den * (k // n == k % n)  # den * I, flattened

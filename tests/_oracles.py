@@ -4,7 +4,8 @@ Deliberately self-contained: these routines re-decide things the package
 also computes, by different algorithms, sharing no code with src/.  Keep
 them dumb and obviously correct rather than fast.  The matrix helpers at
 the end let the Weyl tests act with and multiply an element's exact
-`.matrix`, which the package only derives.
+`.matrix`, which the package only derives, and `reflect` applies the
+reflection in a root by the textbook formula.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -130,3 +131,18 @@ def is_reflection_matrix(w):
     ambient - 2, i.e. a fixed space of codimension 1."""
     m, n = w.matrix, w.rs.ambient
     return matmul(m, m) == identity(n) and sum(m[i][i] for i in range(n)) == n - 2
+
+
+def dot(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"dot: dimension mismatch {len(a)} vs {len(b)}")
+    return sum((x * y for x, y in zip(a, b)), Q(0))
+
+
+def reflect(x, alpha):
+    """Reflection of x in the hyperplane orthogonal to alpha."""
+    aa = dot(alpha, alpha)
+    if aa == 0:
+        raise ValueError("reflect: zero root")
+    c = 2 * dot(x, alpha) / aa
+    return tuple(a - c * b for a, b in zip(x, alpha))

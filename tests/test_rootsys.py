@@ -1,16 +1,16 @@
+import hashlib
 from fractions import Fraction as Q
 from math import comb
 
 import pytest
 
+from _oracles import dot, reflect
 from dlperiod import UsageError
-from dlperiod.linalg import dot
 from dlperiod.rootsys import (
     build_root_system,
     parabolic_dim,
     positive_root_count,
     rank_vs_dim_table,
-    reflect,
     weyl_order,
 )
 
@@ -192,3 +192,39 @@ def test_coxeter_positive_roots_flip_only_for_paper5_bd():
 def test_interning():
     assert build_root_system("A", 3) is build_root_system("A", 3)
     assert build_root_system("A", 3) is not build_root_system("A", 3, "paper5")
+
+
+# sha256 of the public root data of every system up to rank 8, one digest
+# per (kind, profile) over its ranks in increasing order; frozen while the
+# simple roots were still written as Fractions, before they became doubled
+# integers
+ROOT_DATA_DIGESTS = {
+    ("A", "bourbaki"): "18367a6a23ebccbcc7075b124d5f35dddbf162c0120a060d4ad1f8f5bd7e8404",
+    ("A", "paper5"): "e02653c6eb2844ed6f5d891913124ec9a03e6f34bbf28f1c1aba44efca50bb50",
+    ("B", "bourbaki"): "54e6e681c7ef01da56c04c1372f437c264893a2ae4fd6af8a0cc6904f200de07",
+    ("B", "paper5"): "0c756147c464f9e883e7d6ff96f80abe1cdc6cb1344b3b556ac9b42c09d31de4",
+    ("C", "bourbaki"): "fa059bd0bf4fe7447e7591e3a802246ac8bd6d938e8f0a3e725c4814d04dee8a",
+    ("D", "bourbaki"): "feabc892764ce735fc4950275a2799ea81e9cb74448c37bd1fa6d66062b2cc1a",
+    ("D", "paper5"): "f1dae3cb7a8ae7b48b80c28cd31b381eb70ffaabaa4cedcf5ac6d37586623249",
+    ("E", "bourbaki"): "494833476709178e71faf117aacdc35605c1bcdce621c4a75fb8b24e91318b95",
+    ("F", "bourbaki"): "d55ba44b8546d4fdc0ee301cf3272e5fa29ac88b77d3c51bd7441c508f2f9ed6",
+    ("G", "bourbaki"): "3e0c6785659bb14b4ef2f95334b7e8cef3d7f5970cb864e63c71546c57a8c0d3",
+}
+RANKS_UP_TO_8 = {
+    "A": range(1, 9), "B": range(2, 9), "C": range(3, 9), "D": range(4, 9),
+    "E": range(6, 9), "F": (4,), "G": (2,),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,profile", ROOT_DATA_DIGESTS, ids=[f"{k}-{p}" for k, p in ROOT_DATA_DIGESTS]
+)
+def test_root_data_frozen(kind, profile):
+    data = ""
+    for rank in RANKS_UP_TO_8[kind]:
+        rs = build_root_system(kind, rank, profile)
+        data += repr((
+            rs.gen_names, rs.ambient, rs.trace_zero, rs.simple_roots,
+            rs.positive_roots, rs.pos_coords, rs.coxeter_positive_roots,
+        ))
+    assert hashlib.sha256(data.encode()).hexdigest() == ROOT_DATA_DIGESTS[kind, profile]

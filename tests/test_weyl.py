@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from _oracles import act, identity, is_reflection_matrix, matmul
+from _oracles import act, identity, is_reflection_matrix, matmul, reflect
 from dlperiod import CapacityError, UsageError
-from dlperiod.rootsys import build_root_system, reflect
+from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
     WeylElem,
     coxeter_length,
@@ -279,14 +279,12 @@ def test_length_distribution_matches_poincare_polynomial():
 
 def test_matrix_is_product_of_reflection_matrices():
     rng = random.Random(20070510)
-    specs = [
-        ("A", 1, "bourbaki"), ("A", 4, "bourbaki"), ("B", 3, "bourbaki"),
-        ("C", 3, "bourbaki"), ("C", 5, "bourbaki"), ("D", 4, "bourbaki"),
-        ("D", 6, "bourbaki"), ("E", 6, "bourbaki"), ("E", 7, "bourbaki"),
-        ("E", 8, "bourbaki"), ("F", 4, "bourbaki"), ("G", 2, "bourbaki"),
-        ("A", 3, "paper5"), ("B", 2, "paper5"), ("B", 4, "paper5"),
-        ("D", 4, "paper5"), ("D", 5, "paper5"),
-    ]
+    # every standard system up to rank 8 and every paper5 system up to rank 6
+    lows = {"A": 1, "B": 2, "C": 3, "D": 4}
+    specs = [(k, r, "bourbaki") for k, lo in lows.items() for r in range(lo, 9)]
+    specs += [("E", 6, "bourbaki"), ("E", 7, "bourbaki"), ("E", 8, "bourbaki")]
+    specs += [("F", 4, "bourbaki"), ("G", 2, "bourbaki")]
+    specs += [(k, r, "paper5") for k in "ABD" for r in range(lows[k], 7)]
     for spec in specs:
         rs = build_root_system(*spec)
         mats = [reflection_matrix(a) for a in rs.simple_roots]
