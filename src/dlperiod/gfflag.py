@@ -45,16 +45,10 @@ Three counters are exposed:
 * ``period_point_count`` — flags of a fixed type that are semistable for
   a weakly decreasing integer vector: no rational subspace U has slope
   above the total.  Both caps (flags, then rational subspaces) are checked
-  before any walk, and every flag is visited and decided exactly, on one
-  of three paths by type.  (a) One cut at a line or a hyperplane: the
-  flag is semistable iff the Frobenius hull of the line (of the
-  hyperplane's normal) is the whole space, whatever the weights, so each
-  flag costs a rank and no U is built.  (b) Last cuts n-2 and n-1: the
-  walk stops at V_{n-2}, and the Q + 1 hyperplanes over it are counted by
-  incidence as in the tally, since each U lies in all of them, in none,
-  or in exactly U + V_{n-2}.  (c) Any other type: each U's state is built
-  once and extended along the walk, which records dim(U ^ V_d) at each
-  cut.  ``semistable`` tests one flag the way path (c) does.
+  first, so the count refuses what a walk would, although it visits no
+  flag: one Harder-Narasimhan recursion over the sub-multisets of the
+  weights gives every type in integer arithmetic.  ``semistable`` tests one flag against every rational U and
+  is the independent check.
 """
 from __future__ import annotations
 
@@ -916,38 +910,6 @@ def _rational_subspaces(fld: Field, q: int, n: int) -> Tuple[State, ...]:
     return tuple(st for d in range(1, n) for st in _echelon_bases(scal, range(n), n, d))
 
 
-def _slope_test(fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int, cap: int):
-    """The semistability test as a walk: (enter, root) for ``_walk``.
-
-    The flag's graded piece between cuts i-1 and i has weight seg[i-1], so
-    deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]}).
-    A context holds (dim U, state of U + V_d, the sum so far) for every
-    rational proper U; the last depth returns whether no U has slope
-    deg U / dim U above the total slope sum(nu) / n.  Raises CapacityError
-    before building the U's when there are more than `cap` of them.
-    """
-    extend = _extender(fld)
-    n, total = len(vnu), sum(vnu)
-    _check_subspace_cap(n, q, cap)
-    seg = [vnu[0]] + [vnu[d] for d in dims]
-    last = len(dims) - 1
-
-    def enter(depth, rows, state, ctx):
-        d, w = dims[depth], seg[depth] - seg[depth + 1]
-        nxt = []
-        for du, ust, acc in ctx:
-            for row in rows:
-                ust = extend(ust, row)
-            acc += w * (du + d - len(ust))
-            if depth < last:
-                nxt.append((du, ust, acc))
-            elif (seg[-1] * du + acc) * n > total * du:
-                return False
-        return nxt if depth < last else True
-
-    return enter, [(len(u), u, 0) for u in _rational_subspaces(fld, q, n)]
-
-
 def semistable(nu, flag: Flag, q: int) -> bool:
     """Slope test of a flag against every subspace rational over GF(q).
 
@@ -966,92 +928,39 @@ def semistable(nu, flag: Flag, q: int) -> bool:
     prime_power(q)
     if not flag.dims:
         return True  # the trivial flag
-    enter, ctx = _slope_test(flag.field, vnu, flag.dims, q, DEFAULT_ENUM_CAP)
-    for depth, step in enumerate(flag.steps):
-        ctx = enter(depth, step, None, ctx)
-    return ctx
-
-
-def _one_cut_count(fld: Field, n: int, d: int, q: int, cap: int) -> int:
-    """Semistable flags with one cut d, a line L (d = 1) or a hyperplane
-    H = ker h (d = n - 1); the weights do not matter.
-
-    Take a rational U of dimension du < n and a > b.  Under (a, b, ..., b)
-    the mean slope is b + (a - b) / n, and U has slope b + (a - b) / du
-    above it if U holds L, b below it if not.  Under (a, ..., a, b) the
-    mean is a - (a - b) / n, and U has slope a if U lies in H,
-    a - (a - b) / du otherwise.  U holds L iff it holds L's Frobenius hull,
-    the span of L, Frob L, ...; U lies in H iff every Frob^k h vanishes on
-    U.  So the flag is semistable iff that hull, of L or of h, is the whole
-    space; the first image that adds nothing closes the hull.
-    """
-    extend, frob, neg = _extender(fld), fld.frob_map(q), fld.neg
-
-    def enter(depth, rows, state, ctx):
-        row = rows[0]
-        if d > 1:
-            # the walk's rows of H are reduced: h is 1 at the non-pivot column
-            # c and -row[c] at each row's pivot
-            (c,) = set(range(n)).difference(pv for pv, _row in state)
-            row = [0] * n
-            row[c] = 1
-            for pv, r in state:
-                row[pv] = neg(r[c])
-        hull: State = ()
-        while True:
-            grown = extend(hull, row)
-            if grown is hull:
-                return len(hull) == n
-            hull, row = grown, [frob[x] for x in row]
-
-    return sum(_walk(fld, n, (d,), cap, enter, None))
-
-
-def _last_pencil_count(
-    fld: Field, vnu: Tuple[int, ...], dims: Tuple[int, ...], q: int, cap: int
-) -> int:
-    """Semistable flags of a type whose last cuts are n-2 and n-1, walked
-    to V_{n-2} only; the Q + 1 hyperplanes H over each V_{n-2} are counted
-    by incidence.
-
-    With s = dim(U + V_{n-2}), U lies in every H when s = n-2, in none when
-    s = n, and in exactly H = U + V_{n-2} when s = n-1; deg U is highest
-    where U lies in H.  A U that destabilizes outside that one H
-    destabilizes every H, otherwise each U removes at most its own H.
-    """
-    n, total = len(vnu), sum(vnu)
-    top, w = vnu[-2], vnu[-2] - vnu[-1]
+    fld, n, total = flag.field, flag.n, sum(vnu)
+    _check_subspace_cap(n, q, DEFAULT_ENUM_CAP)
     extend = _extender(fld)
-    enter, root = _slope_test(fld, vnu, dims, q, cap)
-
-    def keep_base(depth, rows, state, ctx):
-        return enter(depth, rows, state, ctx[0]), state
-
-    def stable_hyperplanes(ctx, base) -> int:
-        # H = U + V_{n-2} is keyed by a row of U reduced over V_{n-2}: zero
-        # at V_{n-2}'s pivots and scaled to 1, so one key per H
-        special = set()
-        for du, ust, acc in ctx:
-            s = len(ust)
-            # n deg U - sum(nu) du where U lies in H; w n less where it does not
-            excess = (top * du + acc) * n - total * du
-            if excess > (0 if s == n - 2 else w * n):
-                return 0
-            if s == n - 1 and excess > 0:
-                for _pv, row in ust[:du]:  # U's own pairs come first in ust
-                    st = extend(base, row)
-                    if st is not base:
-                        special.add(tuple(st[-1][1]))
-                        break
-        return fld.size + 1 - len(special)
-
-    # the caller checked the cap on the whole flags; the walk visits fewer
-    walk = _walk(fld, n, dims[:-1], cap, keep_base, (root, ()))
-    return sum(stable_hyperplanes(ctx, base) for ctx, base in walk)
+    # the graded piece between cuts k-1 and k has weight seg[k], so
+    # deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]})
+    seg = [vnu[0]] + [vnu[d] for d in flag.dims]
+    for u in _rational_subspaces(fld, q, n):
+        du, ust = len(u), u
+        deg = seg[-1] * du
+        for k, (d, step) in enumerate(zip(flag.dims, flag.steps)):
+            for row in step:
+                ust = extend(ust, row)
+            deg += (seg[k] - seg[k + 1]) * (du + d - len(ust))
+        if deg * n > total * du:
+            return False
+    return True
 
 
 def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of semistable flags of nu's type over GF(q^e)."""
+    """Number of semistable flags of nu's type over GF(q^e), by the
+    Harder-Narasimhan recursion (Rapoport 1997; Orlik 2000).
+
+    Every flag has a unique HN filtration by rational subspaces whose
+    graded pieces, with the weights the flag induces on them, are
+    semistable and have strictly decreasing mean weights.  So the flags of
+    nu's type split by HN type, an ordered split of the multiset nu into
+    pieces nu^(1), ..., nu^(r) with strictly decreasing means, and a type
+    has prod_i [rest_i; n_i]_q #F(nu^(i))^ss Q^c flags: the rational
+    filtration, the semistable flag on each piece, and an affine space of
+    extensions, c counting the pairs (x in nu^(j), y in nu^(i)), i < j,
+    with x > y.  The semistable flags are all flags minus the types with
+    r >= 2.  Both caps are checked first, although no flag is visited.
+    """
     vnu = _single_nu(nu)
     prime_power(q)
     if e < 1:
@@ -1063,9 +972,35 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
         return 1  # the trivial flag, vacuously semistable
     _check_cap(fld, n, dims, cap)
     _check_subspace_cap(n, q, cap)
-    if ((0,) + dims)[-2:] == (n - 2, n - 1):
-        return _last_pencil_count(fld, vnu, dims, q, cap)
-    if dims in ((1,), (n - 1,)):
-        return _one_cut_count(fld, n, dims[0], q, cap)
-    enter, root = _slope_test(fld, vnu, dims, q, cap)
-    return sum(_walk(fld, n, dims, cap, enter, root))
+    # a piece is its multiplicities over the distinct values, highest first
+    values = sorted(set(vnu), reverse=True)
+    memo: Dict[Tuple, int] = {}
+
+    def count(m: Tuple[int, ...], bound: Optional[Tuple[int, int]]) -> int:
+        """Flags on a rational space carrying the weights m whose HN pieces
+        have means below bound = (weight sum, dimension); for bound None,
+        the semistable flags."""
+        if not any(m):
+            return 1
+        key = (m, bound)
+        if key not in memo:
+            k = sum(m)
+            split = 0
+            for p in iproduct(*(range(c + 1) for c in m)):
+                kp, sp = sum(p), sum(v * c for v, c in zip(values, p))
+                if not kp or (p == m if bound is None else sp * bound[1] >= bound[0] * kp):
+                    continue
+                rest = tuple(c - d for c, d in zip(m, p))
+                # pairs of a weight in rest above a weight in p
+                crossings = sum(r * sum(p[i + 1:]) for i, r in enumerate(rest))
+                split += (
+                    gaussian_binomial(k, kp, q) * count(p, None)
+                    * fld.size**crossings * count(rest, (sp, kp))
+                )
+            if bound is None:
+                weights = [v for v, c in zip(values, m) for _ in range(c)]
+                split = flag_count(k, nu_jump_dims(weights), fld.size) - split
+            memo[key] = split
+        return memo[key]
+
+    return count(tuple(vnu.count(v) for v in values), None)

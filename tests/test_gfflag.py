@@ -438,6 +438,8 @@ def _slope_oracle(nu, flag, rational):
         ((5, 5, 2), 2, 3), ((3, 1, 1), 2, 3), ((1, 1, 1, 0), 2, 2),
         # last cuts n-2 and n-1: q = 3, n = 4, n = 2
         ((2, 1, 0), 3, 2), ((3, 2, 1, 0), 2, 1), ((3, 1), 3, 2),
+        # a middle cut, and two cuts not ending at n-2 and n-1, in dimension 4
+        ((1, 1, 0, 0), 3, 1), ((2, 1, 1, 0), 3, 1), ((2, 1, 0, 0), 3, 1), ((3, 2, 2, 0), 2, 1),
     ],
 )
 def test_period_count_matches_flagwise_slope_test(nu, q, e):
@@ -472,6 +474,34 @@ def _omega_closed_form(n, q, e):
 )
 def test_period_counts_frozen(nu, q, e, count):
     assert period_point_count(nu, q, e) == count
+
+
+# past every flag walk: the counts come from the recursion alone
+BIG_CAP = 10**30
+
+
+def test_grassmannian_count_past_the_walks():
+    # Gr(2,5) over GF(32) has 1,210,362,905,649 points
+    assert period_point_count((1, 1, 0, 0, 0), 2, 5, cap=BIG_CAP) == 950_584_320
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("e", [1, 2, 5, 12])
+def test_drinfeld_cells_match_moebius_closed_form(n, e):
+    count = _omega_closed_form(n, 2, e)
+    assert period_point_count((1,) + (0,) * (n - 1), 2, e, cap=BIG_CAP) == count
+    assert period_point_count((1,) * (n - 1) + (0,), 2, e, cap=BIG_CAP) == count
+
+
+def test_period_count_is_invariant_under_duality_past_the_walks():
+    rng = random.Random(3)
+    nu = tuple(sorted((rng.randrange(4) for _ in range(6)), reverse=True))
+    dual = tuple(nu[0] - x for x in reversed(nu))
+    assert nu != dual
+    for q, e in ((2, 3), (3, 3)):
+        count = period_point_count(nu, q, e, cap=BIG_CAP)
+        assert 0 < count < flag_count(6, nu_jump_dims(nu), q**e)
+        assert period_point_count(dual, q, e, cap=BIG_CAP) == count
 
 
 @pytest.mark.parametrize(
