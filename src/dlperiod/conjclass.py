@@ -105,14 +105,15 @@ def _class_walk(
     """Breadth-first walk over the shift moves from w, generators tried in
     their listed order; monotone=True drops moves that raise the length.
 
-    Checks the cap and raises UsageError when w is not in the group.
+    Checks the cap first; after the walk, which stays inside w's W-orbit
+    (W is finite, bounded by the cap), raises UsageError when w is not in
+    the group.
     Returns the elements in discovery order, their coxeter_length, and
     parents: parents[j] = (i, gen) for each element j > 0 of the walk.
     """
     rs = w.rs
     fperm = _normalize_f(rs, F)
     checked_order(rs, cap)
-    reduced_word(w)  # the membership test
     gens = rs.gen_perms
     # move g sends x to s_g x F(s_g): root i to s(x(fs[i])).  An element is
     # determined by the images of the simple roots, so visited elements are
@@ -139,6 +140,9 @@ def _class_walk(
             elems.append(y)
             lengths.append(ly)
             parents.append((i, g))
+    # the moves keep W, so w is in W exactly when the walk's shortest element
+    # is, and that element has the shortest word to peel
+    reduced_word(elems[lengths.index(min(lengths))])
     return elems, lengths, parents
 
 

@@ -8,9 +8,9 @@ tuples, and lengths, descents and reduced words are read off them.  The
 exact ambient matrix (`WeylElem.matrix`) and the least reduced word
 (`WeylElem.word`) are derived from the permutation on each read; the
 matrix sends each standard simple root to its image and fixes the
-orthogonal complement of the roots.  Its integer frame comes from sums
-over the doubled positive roots, with no Gram matrix to invert; Fractions
-are made only for the matrix rows it returns.
+orthogonal complement of the roots.  Each row is looked up by the images
+of the simple roots, made once from integer root sums and hashed once, so
+`.matrix` is a cheap set or dict key.
 
 Words are sequences of generator *names* (`"s1"`, `"t"`, `"tp"`, ...);
 1-based generator positions are accepted as integer tokens.  Extended
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from . import CapacityError, UsageError
 from .rootsys import RootSystem, Vector, build_root_system, weyl_order
@@ -115,63 +115,63 @@ class WeylElem:
         return _matrix_frame(self.rs.kind, self.rs.rank).matrix(self.perm)
 
 
+class _Row(tuple):
+    """A matrix row whose hash, that of the plain tuple, is computed once."""
+
+    def __init__(self, entries):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class _MatrixFrame:
     """Integer data that turns a root permutation into its matrix.
 
     With a_i the standard simple roots and d_i their dual basis inside the
-    root span, the matrix of w is M = P + sum_i w(a_i) d_i^T, where P is the
-    projection onto the orthogonal complement of the roots.  Over one common
-    denominator `den`, `const` is den * P and `terms[i][k]` is
-    den * (root k) d_i^T, both flattened row by row, so M takes one integer
-    sum per entry.  Rows are interned: a group's matrices share few rows,
-    so derived matrices hold little memory of their own.
+    root span, M = P + sum_i w(a_i) d_i^T, P the projection onto the
+    orthogonal complement of the roots.  Row r of den * M is const[r] +
+    sum_i w(a_i)[r] duals[i] (w(a_i) doubled), so one dict per row index,
+    keyed by those r-th coordinates, holds each row, built once as a `_Row`:
+    a matrix costs one lookup per row and hashes from cached row hashes.
 
     The duals are integer root sums.  The sum of beta beta^T over all roots
     beta is W-invariant, and every kind here is irreducible, so on the root
-    span it is a scalar multiple of the identity (Bourbaki, Lie Groups,
-    Ch. VI, 1.12).  Pairing that identity with d_i, whose pairing with beta
-    is the i-th simple coordinate of beta, gives
-    c d_i = sum_{beta > 0} coord_i(beta) b with b the doubled root beta,
-    and pairing it with any doubled root a gives
+    span it is a scalar multiple c of the identity (Bourbaki, Lie Groups,
+    Ch. VI, 1.12).  Pairing it with d_i, whose pairing with beta is the i-th
+    simple coordinate of beta, gives c d_i = sum_{beta > 0} coord_i(beta) b,
+    b the doubled root beta; with any doubled root a it gives
     c = sum_{beta > 0} (a, b)^2 / (2 (a, a)).
     """
 
     def __init__(self, rs: RootSystem):
-        n = self.n = rs.ambient
+        n = rs.ambient
         pos = rs.doubled[: len(rs.pos_coords)]
         coords = [[x.numerator for x in c] for c in rs.pos_coords]
-        sums = [
-            [sum(c[i] * b[k] for c, b in zip(coords, pos)) for k in range(n)]
-            for i in range(rs.rank)
-        ]
+        sums = [[sum(c[i] * b[k] for c, b in zip(coords, pos)) for k in range(n)]
+                for i in range(rs.rank)]
         a = pos[0]
         s = sum(sum(x * y for x, y in zip(a, b)) ** 2 for b in pos)
         t = 2 * sum(x * x for x in a)  # d_i = sums[i] * t / s
         g = gcd(s, t * gcd(*(x for d in sums for x in d)))
-        half = s // g  # the least common denominator of the duals
-        self.den = 2 * half  # roots are doubled
+        self.den = 2 * (s // g)  # s // g is the least denominator of the duals
+        self.doubled = rs.doubled
         self.simples = rs.base_idx
-        self.terms = tuple(
-            tuple(tuple(x * e for x in r for e in d) for r in rs.doubled)
-            for d in ([x * t // g for x in d] for d in sums)
-        )
-        self.const = tuple(
-            self.den * (k // n == k % n)  # den * I, flattened
-            - sum(t[s][k] for t, s in zip(self.terms, self.simples))
-            for k in range(n * n)
-        )
-        self._rows: Dict[Tuple[int, ...], Vector] = {}
+        self.duals = [[x * t // g for x in d] for d in sums]
+        self.const = [  # den * P, row by row
+            [self.den * (r == k) - sum(c * d[k] for c, d in zip(key, self.duals)) for k in range(n)]
+            for r, key in enumerate(zip(*[rs.doubled[s] for s in self.simples]))
+        ]
+        self.rows = [{} for _ in range(n)]
 
     def matrix(self, perm: Perm) -> Matrix:
-        parts = [t[perm[s]] for t, s in zip(self.terms, self.simples)]
-        sums = [sum(c) for c in zip(self.const, *parts)]
-        out = []
-        for i in range(0, len(sums), self.n):
-            key = tuple(sums[i : i + self.n])
-            row = self._rows.get(key)
+        keys = list(zip(*[self.doubled[perm[s]] for s in self.simples]))
+        out = list(map(dict.get, self.rows, keys))
+        for r, row in enumerate(out):
             if row is None:
-                row = self._rows[key] = tuple(Q(x, self.den) for x in key)
-            out.append(row)
+                out[r] = self.rows[r][keys[r]] = _Row(
+                    Q(x + sum(c * d[k] for c, d in zip(keys[r], self.duals)), self.den)
+                    for k, x in enumerate(self.const[r]))
         return tuple(out)
 
 

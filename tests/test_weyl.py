@@ -296,3 +296,24 @@ def test_matrix_is_product_of_reflection_matrices():
             w = from_word(rs, [g + 1 for g in word])
             assert w.matrix == m, (spec, word)
             assert inverse(w).matrix == tuple(zip(*m)), (spec, word)
+
+
+@pytest.mark.parametrize("spec, order", [
+    (("F", 4, "bourbaki"), 1152), (("G", 2, "bourbaki"), 12), (("A", 5, "bourbaki"), 720),
+    (("D", 5, "bourbaki"), 1920), (("B", 5, "paper5"), 3840),
+])
+def test_matrices_are_distinct_keys_equal_to_plain_tuples(spec, order):
+    elems = enumerate_group(build_root_system(*spec))
+    assert len({w.matrix for w in elems}) == order
+    plain = {tuple(map(tuple, w.matrix)) for w in elems}
+    for w in elems:
+        m = w.matrix
+        assert hash(m) == hash(tuple(map(tuple, m))) and m in plain, (spec, w.word)
+    assert repr(m) == repr(tuple(map(tuple, m)))
+
+
+def test_matrix_rows_are_shared():
+    # B5 matrices are signed permutation matrices: at most 10 rows per row
+    # index, whatever the number of matrices derived
+    mats = [w.matrix for w in enumerate_group(build_root_system("B", 5, "paper5"))]
+    assert len({id(r) for m in mats for r in m}) <= 50  # mats alive: no id reuse
