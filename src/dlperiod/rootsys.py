@@ -25,7 +25,9 @@ The roots of a (kind, rank) are numbered once, for both profiles: the
 standard positive roots in `positive_roots` order take indices 0..N-1 and
 their negatives N..2N-1, in the same order.  Each generator is stored as the
 permutation it induces on these indices (`gen_perms`), which is how
-:mod:`dlperiod.weyl` represents group elements.
+:mod:`dlperiod.weyl` represents group elements.  Only the positive roots
+are reflected: a reflection commutes with negation, so the image of root
+i + N is the negative of the image of root i, N indices away.
 
 >>> rs = build_root_system("A", 2)
 >>> len(rs.positive_roots)
@@ -38,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Iterable, Sequence, Tuple
+from itertools import chain
+from operator import mul, sub
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import UsageError
 
@@ -180,17 +184,14 @@ def _paper5_simples(kind: str, rank: int) -> Tuple[Tuple[IntVector, ...], Tuple[
     return ((2, 2) + (0,) * (rank - 2), *chain), ("tp", *n_names)
 
 
-def _fractions(rows: Iterable[IntVector], den: int) -> Tuple[Vector, ...]:
+def _fractions(rows: Sequence[IntVector], den: int) -> Tuple[Vector, ...]:
     """Integer rows divided by `den`, sharing one Fraction per distinct entry."""
-    cache: dict = {}
-    return tuple(
-        tuple(cache[x] if x in cache else cache.setdefault(x, Q(x, den)) for x in r)
-        for r in rows
-    )
+    cache = {x: Q(x, den) for x in set(chain.from_iterable(rows))}
+    return tuple(tuple(map(cache.__getitem__, r)) for r in rows)
 
 
 def _idot(a: IntVector, b: IntVector) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _orbit_closure(
@@ -202,19 +203,21 @@ def _orbit_closure(
     Runs on doubled integer coordinates (every root lies in (1/2)Z^n), where
     the Cartan integer <r, a> = 2(r, a)/(a, a) is exact.  Every positive root
     is reached from a simple one by simple reflections that raise the
-    height, so only steps with <r, a> < 0 are followed.
+    height, so only steps with <r, a> < 0 are followed; a Cartan integer
+    between two roots is at least -3, so k a is made once for k = -1, -2, -3.
     """
-    mirrors = [(a, _idot(a, a)) for a in base]
+    mirrors = [(a, _idot(a, a), {k: tuple(k * x for x in a) for k in (-1, -2, -3)})
+               for a in base]
     unit = [tuple(int(i == j) for j in range(len(base))) for i in range(len(base))]
     found = dict(zip(base, unit))
     queue = list(base)
     while queue:
         r = queue.pop()
         c = found[r]
-        for i, (a, aa) in enumerate(mirrors):
+        for i, (a, aa, ka) in enumerate(mirrors):
             k = 2 * _idot(r, a) // aa
             if k < 0:
-                r2 = tuple(x - k * y for x, y in zip(r, a))
+                r2 = tuple(map(sub, r, ka[k]))
                 if r2 not in found:
                     found[r2] = c[:i] + (c[i] - k,) + c[i + 1 :]
                     queue.append(r2)
@@ -223,15 +226,21 @@ def _orbit_closure(
 
 
 def _reflection_perm(
-    doubled: Sequence[IntVector], index: Dict[IntVector, int], a: IntVector
+    pos: Sequence[IntVector], index: Mapping[IntVector, int], neg: Sequence[int], a: IntVector
 ) -> Tuple[int, ...]:
-    """The permutation of root indices induced by the reflection in `a`."""
+    """The permutation of root indices induced by the reflection in `a`.
+
+    Only the positive roots `pos` are reflected: s(-r) = -s(r), so the image
+    of root i + N is the negative of the image of root i, whose index `neg`
+    gives (so the permutations share neg's ints rather than each making N
+    new ones).  A root r goes to r - k a with k = <r, a> the Cartan integer;
+    k a is made once per distinct k.
+    """
     aa = _idot(a, a)
-    out = []
-    for r in doubled:
-        k = 2 * _idot(r, a) // aa
-        out.append(index[tuple(x - k * y for x, y in zip(r, a))])
-    return tuple(out)
+    ks = [2 * _idot(r, a) // aa for r in pos]
+    ka = {k: tuple(k * x for x in a) for k in set(ks)}
+    half = [index[tuple(map(sub, r, ka[k]))] for r, k in zip(pos, ks)]
+    return (*half, *map(neg.__getitem__, half))
 
 
 @lru_cache(maxsize=None)
@@ -255,6 +264,17 @@ def _root_table(kind: str, rank: int):
     return ambient, std, doubled, index, _fractions(doubled, 2), _fractions(coords, 1)
 
 
+def _rank(rank) -> int:
+    """An integer rank from an int or a decimal string; anything else raises
+    UsageError, so a float is never truncated."""
+    if isinstance(rank, (int, str)):
+        try:
+            return int(rank)
+        except ValueError:
+            pass
+    raise UsageError(f"rank {rank!r} is not an integer")
+
+
 def normalize_kind(kind: str, rank) -> Tuple[str, int]:
     """(kind letter, rank) from a kind letter and a rank, or from a combined
     name like "E6" with the rank omitted or equal; raises UsageError."""
@@ -264,14 +284,14 @@ def normalize_kind(kind: str, rank) -> Tuple[str, int]:
         if k[0] not in KINDS or not body.isdigit():
             raise UsageError(f"unknown root-system kind {kind!r}")
         implied = int(body)
-        if rank is not None and int(rank) != implied:
+        if rank is not None and _rank(rank) != implied:
             raise UsageError(f"kind {kind!r} contradicts rank={rank}")
         return k[0], implied
     if k not in KINDS:
         raise UsageError(f"unknown root-system kind {kind!r}")
     if rank is None:
         raise UsageError(f"kind {k!r} needs an explicit rank")
-    return k, int(rank)
+    return k, _rank(rank)
 
 
 @lru_cache(maxsize=None)
@@ -298,6 +318,7 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
     cox_positive = [False] * (2 * npos)
     for i in cox_idx:
         cox_positive[i] = True
+    neg = (*range(npos, 2 * npos), *range(npos))  # index of -(root i)
 
     return RootSystem(
         kind=kind,
@@ -311,7 +332,7 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         coxeter_positive_roots=tuple(roots[i] for i in cox_idx),
         trace_zero=trace_zero,
         doubled=doubled,
-        gen_perms=tuple(_reflection_perm(doubled, index, a) for a in base),
+        gen_perms=tuple(_reflection_perm(doubled[:npos], index, neg, a) for a in base),
         base_idx=tuple(index[a] for a in base),
         cox_positive=tuple(cox_positive),
     )

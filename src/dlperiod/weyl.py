@@ -360,19 +360,24 @@ def checked_order(rs: RootSystem, cap: int) -> int:
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylElem]:
     """All group elements in breadth-first order from the identity.
 
-    Deterministic: generators are tried in their listed order.  Raises
-    CapacityError (naming the group order) when the group is larger than
-    `cap`.
+    Deterministic: generators are tried in their listed order.  A generator
+    g with p(a_g) < 0 is skipped at p, since p s_g is then shorter and was
+    found a level earlier; the order is that of trying every generator.
+    Raises CapacityError (naming the group order) when the group is larger
+    than `cap`.
     """
     order = checked_order(rs, cap)
     # An element is determined by the images of the simple roots, so visited
     # elements are keyed by those; only new ones are composed in full.
     base = rs.base_idx
-    gen_keys = [tuple(gp[b] for b in base) for gp in rs.gen_perms]
+    pos = rs.cox_positive
+    gens = [(b, gp, tuple(gp[c] for c in base)) for b, gp in zip(base, rs.gen_perms)]
     seen = {base}
     perms: List[Perm] = [tuple(range(len(rs.doubled)))]
     for p in perms:  # grows while it is read: a breadth-first queue
-        for gp, gk in zip(rs.gen_perms, gen_keys):
+        for b, gp, gk in gens:
+            if not pos[p[b]]:
+                continue  # p s_g is shorter than p, so it was found a level earlier
             key = tuple(map(p.__getitem__, gk))
             if key not in seen:
                 seen.add(key)

@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import dot, reflect
 from dlperiod import UsageError
+from dlperiod.conjclass import gp_enumerate
 from dlperiod.rootsys import (
     build_root_system,
     parabolic_dim,
@@ -156,7 +157,15 @@ def test_rank_ranges_and_kind_normalization():
         build_root_system("H", 3)
     with pytest.raises(UsageError):
         build_root_system("E")  # rank required
+    # a non-integral or malformed rank is refused by name, never truncated
+    for kind, rank in (("A", 2.7), ("A", "3x"), ("E6", "6.5")):
+        with pytest.raises(UsageError, match=f"rank {rank!r} is not an integer"):
+            build_root_system(kind, rank)
+    with pytest.raises(UsageError, match="rank '3x' is not an integer"):
+        gp_enumerate("A", "3x")
+    assert build_root_system("A", "3") is build_root_system("A", 3)
     assert build_root_system("E6") is build_root_system("E", 6)
+    assert build_root_system("E6", "6") is build_root_system("E", 6)
     assert str(build_root_system("B", 3, "paper5")) == "B3[paper5]"
 
 
@@ -228,3 +237,31 @@ def test_root_data_frozen(kind, profile):
             rs.positive_roots, rs.pos_coords, rs.coxeter_positive_roots,
         ))
     assert hashlib.sha256(data.encode()).hexdigest() == ROOT_DATA_DIGESTS[kind, profile]
+
+
+# every system up to rank 8, plus one larger rank per classical kind
+ORACLE_RANKS = {**RANKS_UP_TO_8, **{
+    kind: (*RANKS_UP_TO_8[kind], big) for kind, big in (("A", 20), ("B", 12), ("C", 12), ("D", 12))
+}}
+
+
+@pytest.mark.parametrize(
+    "kind,profile", ROOT_DATA_DIGESTS, ids=[f"{k}-{p}" for k, p in ROOT_DATA_DIGESTS]
+)
+def test_root_permutations_match_reflection_oracle(kind, profile):
+    """gen_perms, base_idx and cox_positive against the Fraction roots: the
+    generator g sends positive root i to the index of reflect(root i, simple
+    root g), and root i + N to the negative of that, N indices away."""
+    for rank in ORACLE_RANKS[kind]:
+        rs = build_root_system(kind, rank, profile)
+        n = len(rs.positive_roots)
+        roots = rs.positive_roots + tuple(tuple(-x for x in r) for r in rs.positive_roots)
+        index = {r: i for i, r in enumerate(roots)}
+        cox = frozenset(rs.coxeter_positive_roots)
+        assert rs.cox_positive == tuple(r in cox for r in roots), (kind, rank)
+        assert len(rs.gen_perms) == len(rs.base_idx) == len(rs.simple_roots) == rank
+        for a, b, perm in zip(rs.simple_roots, rs.base_idx, rs.gen_perms):
+            assert roots[b] in (a, tuple(-x for x in a)) and roots[b] in cox
+            assert perm[:n] == tuple(index[reflect(r, a)] for r in roots[:n]), (kind, rank)
+            assert all(abs(perm[i + n] - perm[i]) == n for i in range(n)), (kind, rank)
+            assert all(perm[j] == i for i, j in enumerate(perm)), (kind, rank)

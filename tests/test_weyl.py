@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter, deque
 from fractions import Fraction as Q
@@ -232,6 +233,31 @@ def test_enumerate_group_counts_and_cap():
     with pytest.raises(CapacityError) as exc:
         enumerate_group(build_root_system("E", 8))
     assert "696729600" in str(exc.value)
+
+
+# sha256 of repr([w.perm for w in enumerate_group(rs)]), frozen when every
+# generator was still tried at every element; the breadth-first order must
+# not move, whatever the walk skips
+ENUMERATION_DIGESTS = {
+    ("A", 1, "bourbaki"): "6df3ef58aaac2aff5d071b5f4bcbd92f0014181fe5e884295db42b5a3abfbf47",
+    ("G", 2, "bourbaki"): "e2e329cd89f9e187ac29957846561f46a475c8cf8171598e3f68b01566191d9b",
+    ("F", 4, "bourbaki"): "fde069bffeb7576a63c7b50252cb5cec78144d583b0b171cd1a0da065f211b67",
+    ("A", 5, "bourbaki"): "148bcc5a3200f19ac77621a7ad9713ca60bf6dae7d53b3b2a806a4f2142f38bc",
+    ("D", 5, "bourbaki"): "97895ad4f732b106cb0c737615f8c19923d07d7591b3f5529bfb431dc4083023",
+    ("B", 5, "paper5"): "15bc1b202031a6877c1491f6621f8721b2b9e3d7ddb2fa014a5d6613b6f66ecb",
+    ("D", 4, "paper5"): "2f243aed448389dacc26139a5697b30ad9d7678b370fe0490f83cecb5c7cd757",
+}
+
+
+@pytest.mark.parametrize(
+    "spec", ENUMERATION_DIGESTS, ids=[f"{k}{r}-{p}" for k, r, p in ENUMERATION_DIGESTS]
+)
+def test_enumeration_order_frozen(spec):
+    elems = enumerate_group(build_root_system(*spec))
+    digest = hashlib.sha256(repr([w.perm for w in elems]).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[spec]
+    lengths = [coxeter_length(w) for w in elems]
+    assert lengths == sorted(lengths)
 
 
 def test_signed_permutation_shape():
