@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -320,6 +321,60 @@ def test_field_primitive_elements_pinned():
         assert len(set(fld.exp)) == fld.size - 1
 
 
+def _digest(table):
+    return hashlib.sha256(",".join(map(str, table)).encode()).hexdigest()[:16]
+
+
+# (p, k): (modulus, exp[1], sha256 prefix of exp, of frob_map(p)), frozen from
+# the field build that multiplied polynomials entry by entry; every field of
+# the flags benchmark plus the largest fields of each addition path
+FIELD_TABLES = {
+    (2, 1): ((0, 1), None, '6b86b273ff34fce1', '83b97b859aa5f81b'),
+    (2, 2): ((1, 1, 1), 2, '8a6ae15122001229', 'a428682b12fc83ce'),
+    (2, 3): ((1, 1, 0, 1), 2, '532e44873f848976', '3e7f0c5c6d4dce41'),
+    (2, 4): ((1, 1, 0, 0, 1), 2, '2118825d65017511', 'f85d2b8be1df2099'),
+    (2, 5): ((1, 0, 1, 0, 0, 1), 2, '1aae48154ea2150d', 'f4b48a570a86d440'),
+    (2, 6): ((1, 1, 0, 0, 0, 0, 1), 2, 'add391b6e7520c4f', '0090882a4c62bb11'),
+    (2, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 2, 'cd62bd15b3fdd5ad', '163525cbad730579'),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3, 'c35609d7d6dbc90e', 'e6d4677f13058bc4'),
+    (2, 9): ((1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7, '4e0016b3c7cf30e1', 'fe2dd5b56ab08533'),
+    (2, 10): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2, '97ee35015bb19e57', '6fd7daba4259a861'),
+    (2, 11): ((1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2, '0ddc7628e768d29a', '829983726a2d2bf5'),
+    (2, 12): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3, '3b99066734910660', 'c0753236d1c5346a'),
+    (2, 13): ((1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2, '375bb488ba675c28', 'eb777cd6b3f77975'),
+    (3, 1): ((0, 1), 2, '17f8af97ad4a7f76', 'c0be322c1ad6af50'),
+    (3, 2): ((1, 0, 1), 4, 'b351095dd920918f', '3777e6fe509d42c3'),
+    (3, 3): ((1, 2, 0, 1), 3, '62f2ccfa842b73c3', '4f01873b2a130952'),
+    (3, 4): ((2, 1, 0, 0, 1), 3, '3d1b96486dbf892d', '00b60221b89ab819'),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3, '3972215707772f60', '993b917e6b6c0cc8'),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), 5, 'c99ad20113c7b7e9', '41e697d2e25f7260'),
+    (3, 8): ((2, 0, 1, 0, 0, 0, 0, 0, 1), 38, 'ae4826aa570ad5b1', 'fc01a4b4478e4f14'),
+    (5, 1): ((0, 1), 2, 'a476677e7e6c27f0', '6484c68c0c85987f'),
+    (5, 2): ((2, 0, 1), 6, 'dc195559d55f793a', 'bd9ec5bde32f77d1'),
+    (5, 3): ((1, 1, 0, 1), 9, '6591e5b8ef32c55c', '87e6b62cdd448c09'),
+    (5, 5): ((1, 4, 0, 0, 0, 1), 10, '35b52509d05cd994', '47878bb1a95b3f1c'),
+    (7, 1): ((0, 1), 3, '8857bfd80b140972', '594a7c1b42ceaed6'),
+    (7, 2): ((1, 0, 1), 9, '0a53d11615247132', 'adcd5b0007e74e3b'),
+    (7, 4): ((1, 1, 0, 0, 1), 12, '418fce1d7f4cc810', 'd38467d862550b20'),
+    (2, 16): ((1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3, '5860a63f932f7cb6', '69cc050f3a9266e1'),
+    (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34, '9cc6265c9b4aa255', 'c67e4c9e93b8ebf7'),
+    (31, 2): ((1, 0, 1), 35, '5bc82a685b18a54a', 'd2d5889640c002cd'),
+    (37, 3): ((2, 0, 0, 1), 75, 'b310ee756eb028e1', '48ed54b384b73997'),
+    (251, 2): ((1, 0, 1), 256, '7889c485a7f1779f', 'd0d5b50880dff3f7'),
+    (1031, 1): ((0, 1), 14, '7b9a04deddc045b9', 'cd0451ac63b4be30'),
+}
+
+
+@pytest.mark.parametrize("p,k", list(FIELD_TABLES))
+def test_field_tables_pinned(p, k):
+    modulus, g, exp_digest, frob_digest = FIELD_TABLES[p, k]
+    fld = field_build(p, k)
+    assert fld.modulus == modulus
+    assert (fld.exp[1] if fld.size > 2 else None) == g
+    assert _digest(fld.exp) == exp_digest
+    assert _digest(fld.frob_map(p)) == frob_digest
+
+
 def test_odd_characteristic_add_table_field_laws():
     for p, k in [(3, 5), (5, 3)]:
         fld = field_build(p, k)
@@ -514,3 +569,17 @@ def test_coxeter_cell_matches_moebius_closed_form(n, q, e, count):
     # GF(16)^4 has 20,276,529 complete flags, past the tally's default cap
     if flag_count(n, complete_dims(n), q**e) <= DEFAULT_ENUM_CAP:
         assert dl_point_count(n, q, e, coxeter_perm(n)) == count
+
+
+@pytest.mark.parametrize(
+    "n,q,e", [(2, 3, 7), (2, 5, 5), (2, 7, 4), (3, 3, 3), (4, 2, 3)]
+)
+def test_omega_count_matches_moebius_closed_form(n, q, e):
+    # GF(3^7), GF(5^5) and GF(7^4) add chunk by chunk
+    assert omega_point_count(n, q, e) == _omega_closed_form(n, q, e)
+
+
+@pytest.mark.parametrize("n,q", [(3, 5), (3, 7), (4, 3)])
+def test_tally_over_the_base_field_is_all_identity(n, q):
+    # over GF(q) every flag is rational, and no zero count is kept
+    assert dl_point_tally(n, q, 1) == {tuple(range(n)): flag_count(n, complete_dims(n), q)}
