@@ -1,21 +1,25 @@
-"""Finite fields, flags, relative position, and point counts.
+"""Finite fields, flag walks, relative position, and point counts.
 
 Field elements are ints in [0, p^k), encoding polynomial coefficients in
 base p (digit i = coefficient of x^i) modulo a canonical irreducible:
 the lexicographically smallest monic irreducible of degree k, comparing
-coefficient tuples from the highest degree down.  Multiplication runs on
-exp/log tables over the smallest primitive element (found by an order
-test), addition is XOR in characteristic 2 and otherwise reads one
-digit-built table of at most 256 rows (over all digits up to 256 elements,
-else chunk by chunk; a larger prime field adds mod p), so the flag loops
-below stay integer-only.
+coefficient tuples from the highest degree down.  Candidates with a root
+in GF(p) are dropped at once, the rest are divided only by the monic
+irreducibles of degree 2..k/2 (tabulated once per degree).  Multiplication
+runs on exp/log tables over the smallest primitive element (found by an
+order test; for k >= 2 the constants, whose order divides p - 1, are
+skipped).  The exp walk adds g*(low digits) and g*(high digits) from two
+tables built by additivity.  Addition is XOR in characteristic 2 and
+otherwise reads one digit-built table of at most 256 rows (over all digits
+up to 256 elements, else chunk by chunk; a larger prime field adds mod p),
+each row a rotation of a lower one, so the flag loops below stay
+integer-only.
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
 there, and is zero at the pivots of the pairs before it.  ``_extender``
 gives the one step, extending a state by a row (the state itself when
-the row lies in its span); its length is the rank.  ``rref`` and the
-canonical flag steps are states back-substituted by the same step.
+the row lies in its span); its length is the rank.
 
 Flags of a type are walked depth first (``_walk``).  A node at depth k
 lifts reduced-echelon rows through the coordinates that are not pivots
@@ -25,7 +29,9 @@ flag is produced exactly once.  Every node hands its subtree whatever
 state the counter carries, so no leaf reduces its whole flag again.
 All walks are cap-guarded before they start and raise CapacityError
 naming the predicted count; the tally checks the cap on the complete
-flags even though its walk stops one level short of them.
+flags even though its walk stops one level short of them.  The
+flag-at-a-time oracles (``rref``, ``enumerate_flags``,
+``relative_position``, ``semistable``) live in the test suite.
 
 Three counters are exposed:
 
@@ -34,21 +40,22 @@ Three counters are exposed:
   keeps the states of F_i + Frob(F)_j and writes the ranks with
   max(i, j) = k at depth k; a complete flag's permutation is read from the
   second differences of the rank matrix.  The walk stops at V_{n-2}: the
-  last level is counted by incidence classes.  The Q + 1 hyperplanes over
-  V_{n-2} (Q = q^e) differ in their last ranks only by which of
-  Frob^-1 V_i, Frob V_j and their own image they contain, so a few
-  special hyperplanes are evaluated one by one and all the others share
-  one rank matrix, evaluated once and counted with multiplicity.
+  Q + 1 hyperplanes over it (Q = q^e) differ in their last ranks only by
+  how many of Frob^-1 V_i and Frob V_j they contain and by whether they
+  are rational.  The node's ranks give those counts for all but at most
+  two special hyperplanes, which one echelon step each along the two
+  chains tells apart, so every leaf class is one rank matrix counted with
+  multiplicity and no leaf is extended.
 * ``omega_point_count`` — projective points avoiding every hyperplane
   rational over the q-element subfield (an independent computation, used
-  to cross-identify the distinguished cell of the first counter);
+  to cross-identify the distinguished cell of the first counter); each
+  point-hyperplane test reads one product row per rational scalar;
 * ``period_point_count`` — flags of a fixed type that are semistable for
   a weakly decreasing integer vector: no rational subspace U has slope
   above the total.  Both caps (flags, then rational subspaces) are checked
   first, so the count refuses what a walk would, although it visits no
   flag: one Harder-Narasimhan recursion over the sub-multisets of the
-  weights gives every type in integer arithmetic.  ``semistable`` tests one flag against every rational U and
-  is the independent check.
+  weights gives every type in integer arithmetic.
 """
 from __future__ import annotations
 
@@ -56,6 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from operator import xor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import CapacityError, UsageError
@@ -63,26 +71,19 @@ from . import CapacityError, UsageError
 __all__ = [
     "Cochar",
     "Field",
-    "Flag",
     "build_extension",
     "complete_dims",
     "coxeter_perm",
     "dl_point_count",
     "dl_point_tally",
-    "enumerate_flags",
     "field_build",
     "flag_count",
-    "flag_from_chain",
-    "frobenius_flag",
     "gaussian_binomial",
     "omega_point_count",
     "perm_from_word",
     "period_point_count",
     "prime_power",
     "rational_scalars",
-    "relative_position",
-    "rref",
-    "semistable",
 ]
 
 Row = Tuple[int, ...]
@@ -144,90 +145,106 @@ def _number(coeffs: Sequence[int], p: int) -> int:
     return e
 
 
-def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
-    """(a*b) mod (mod, p); polys are coefficient lists low -> high."""
-    k = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce: x^k = -(mod[:k])
-    for d in range(len(out) - 1, k - 1, -1):
-        c = out[d]
+def _poly_rem(poly: Sequence[int], div: Sequence[int], p: int) -> List[int]:
+    """The remainder of poly by the monic div over GF(p), low -> high."""
+    d = len(div) - 1
+    rem = list(poly)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
         if c:
-            out[d] = 0
-            for j in range(k):
-                out[d - k + j] = (out[d - k + j] - c * mod[j]) % p
-    return out[:k] + [0] * max(0, k - len(out))
+            for j in range(d):
+                rem[top - d + j] = (rem[top - d + j] - c * div[j]) % p
+    return rem[:d]
 
 
-def _poly_pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> List[int]:
-    """a^e mod (mod, p) by square-and-multiply."""
-    out = [1] + [0] * (len(mod) - 2)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mul_mod(out, base, mod, p)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod(base, base, mod, p)
-    return out
+def _monics(p: int, d: int) -> Iterator[Tuple[int, ...]]:
+    """Monic polynomials of degree d, lex order from degree d-1 down."""
+    for high_first in iproduct(range(p), repeat=d):
+        yield high_first[::-1] + (1,)
 
 
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg//2."""
+    """No root in GF(p), and no monic irreducible factor of degree 2..deg//2."""
     deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in iproduct(range(p), repeat=d):
-            div = list(tail) + [1]  # monic of degree d
-            # remainder of poly / div
-            rem = list(poly)
-            for top in range(len(rem) - 1, d - 1, -1):
-                c = rem[top]
-                if c:
-                    rem[top] = 0
-                    for j in range(d):
-                        rem[top - d + j] = (rem[top - d + j] - c * div[j]) % p
-            if not any(rem[:d]):
-                return False
-    return True
+    for r in range(p if deg > 1 else 0):
+        v = 0
+        for c in reversed(poly):
+            v = (v * r + c) % p
+        if not v:
+            return False
+    return not any(
+        not any(_poly_rem(poly, div, p))
+        for d in range(2, deg // 2 + 1)
+        for div in _irreducibles(p, d)
+    )
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(p: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """The monic irreducibles of degree d over GF(p), the trial divisors."""
+    return tuple(poly for poly in _monics(p, d) if _poly_is_irreducible(poly, p))
 
 
 def _canonical_modulus(p: int, k: int) -> Tuple[int, ...]:
     """Lex-smallest monic irreducible of degree k over GF(p), comparing
     coefficients from degree k-1 down to the constant term."""
-    for high_first in iproduct(range(p), repeat=k):
-        poly = list(reversed(high_first)) + [1]  # low -> high
+    for poly in _monics(p, k):
         if _poly_is_irreducible(poly, p):
-            return tuple(poly)
+            return poly
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
 
 def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
     """The least g >= 2 of multiplicative order p^k - 1: g^(order/r) != 1
-    for every prime r dividing the order."""
+    for every prime r dividing the order.  For k >= 2 the constants are
+    skipped: their order divides p - 1.  The powers run on packed
+    polynomials, coefficient i in bits [w i, w i + w) of one int, with w
+    wide enough that no coefficient of a product overflows into the next."""
     order = p**k - 1
-    one = [1] + [0] * (k - 1)
+    w = (2 * k * (p - 1) ** 2).bit_length()
+    digit, low = (1 << w) - 1, (1 << w * k) - 1
+
+    def pack(coeffs: Iterable[int]) -> int:
+        return sum(c % p << w * i for i, c in enumerate(coeffs))
+
+    # x^j mod (mod, p) for j = k .. 2k-2 folds a product's high half down
+    folds = [pack(_poly_rem((0,) * j + (1,), mod, p)) for j in range(k, 2 * k - 1)]
+
+    def mul(a: int, b: int) -> int:
+        prod = a * b
+        out, prod = prod & low, prod >> w * k
+        for fold in folds:
+            out += (prod & digit) % p * fold
+            prod >>= w
+        return pack(out >> w * i & digit for i in range(k))
+
+    def power(a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return out
+
     cofactors = [order // r for r in _prime_factors(order)]
-    for g in range(2, p**k):
-        gp = _digits(g, p, k)
-        if all(_poly_pow_mod(gp, c, mod, p) != one for c in cofactors):
+    for g in range(p if k > 1 else 2, p**k):
+        gp = pack(_digits(g, p, k))
+        if all(power(gp, c) != 1 for c in cofactors):
             return g
     raise AssertionError(f"GF({p}^{k}) has no primitive element")  # pragma: no cover
 
 
 def _digit_sums(p: int, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """The addition table of d-digit base-p numbers, digit-wise mod p,
-    built one digit at a time."""
-    digit = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-    tbl = digit
-    for _ in range(d - 1):
-        tbl = tuple(
-            tuple(h * p + s for h in tbl[a // p] for s in digit[a % p])
-            for a in range(len(tbl) * p)
-        )
+    """The addition table of d-digit base-p numbers, digit-wise mod p, built
+    one top digit at a time: row a + t p^i is row a, whose blocks add
+    0, 1, .., p-1 to digit i, rotated by t blocks."""
+    tbl: Tuple[Tuple[int, ...], ...] = ((0,),)
+    for i in range(d):
+        h = p**i
+        base = [tuple(x + t * h for t in range(p) for x in row) for row in tbl]
+        tbl = tuple(row[s:] + row[:s] for s in range(0, h * p, h) for row in base)
     return tbl
 
 
@@ -246,12 +263,12 @@ class Field:
         # through 37 rows); FIELD_CAP leaves only prime fields with p > 256
         self._sums: Optional[Tuple[Tuple[int, ...], ...]] = None
         if p == 2:
-            self.add = lambda a, b: a ^ b
+            self.add = xor
             self.neg = lambda a: a
         else:
             negs: Tuple[int, ...] = (0,)
-            for _ in range(k):
-                negs = tuple(h * p + (-d) % p for h in negs for d in range(p))
+            for i in range(k):  # -(t p^i + a) = (p - t) p^i - a
+                negs += tuple([x + (p - t) * p**i for t in range(1, p) for x in negs])
             self.neg = lambda a, _n=negs: _n[a]
             if p > 256:
                 self.add = lambda a, b: (a + b) % p
@@ -259,26 +276,34 @@ class Field:
                 chunks = -(-k // max(d for d in range(1, k + 1) if p**d <= 256))
                 d = -(-k // chunks)
                 h, tbl = p**d, _digit_sums(p, d)
-                add = lambda a, b: tbl[a][b]
-                for _ in range(chunks - 1):  # the lowest chunk, then the rest
-                    add = lambda a, b, rest=add: tbl[a % h][b % h] + h * rest(a // h, b // h)
-                self.add = add
                 if chunks == 1:
                     self._sums = tbl
+                    add = lambda a, b: tbl[a][b]
+                else:  # the top two chunks in one call, then each lower one
+                    add = lambda a, b: tbl[a % h][b % h] + h * tbl[a // h][b // h]
+                    for _ in range(chunks - 2):
+                        add = lambda a, b, rest=add: tbl[a % h][b % h] + h * rest(a // h, b // h)
+                self.add = add
 
         # multiplication via a discrete log on the smallest primitive element g;
-        # the walk adds g*(low digits) and g*(high digits), both tabulated
+        # the walk adds g*(low digits) and g*(high digits), both tabulated by
+        # additivity from g x^i, one table entry per add
         exp = [1]
         if self.size > 2:
-            gp = _digits(_smallest_primitive(p, k, self.modulus), p, k)
-
-            def times_g(a: int) -> int:
-                return _number(_poly_mul_mod(_digits(a, p, k), gp, self.modulus, p), p)
-
-            half = p ** (k // 2)
-            low = [times_g(a) for a in range(half)]
-            high = [times_g(a * half) for a in range(self.size // half)]
-            cur, add = 1, self.add
+            add = self.add
+            gx = _digits(_smallest_primitive(p, k, self.modulus), p, k)
+            tables = []
+            for m in (k // 2, k - k // 2):
+                times = [0]
+                for _ in range(m):
+                    block, basis, mult = times, _number(gx, p), 0
+                    for _ in range(p - 1):
+                        mult = add(mult, basis)
+                        times = times + [add(t, mult) for t in block]
+                    gx = _poly_rem([0] + gx, self.modulus, p)
+                tables.append(times)
+            low, high = tables
+            half, cur = len(low), 1
             for _ in range(self.size - 2):
                 cur = add(low[cur % half], high[cur // half])
                 exp.append(cur)
@@ -287,7 +312,7 @@ class Field:
         for i, v in enumerate(exp):
             log[v] = i
         self.log: Tuple[int, ...] = tuple(log)
-        if any(v < 0 for v in log[1:]):  # pragma: no cover
+        if -1 in log[1:]:  # pragma: no cover
             raise AssertionError(f"GF({p}^{k}): exp table does not cover all units")
 
     def mul(self, a: int, b: int) -> int:
@@ -319,11 +344,8 @@ def _frob_table(fld: Field, q: int) -> Tuple[int, ...]:
     p, m = prime_power(q)
     if p != fld.p or fld.k % m != 0:
         raise UsageError(f"GF({q}) is not a subfield of GF({fld.p}^{fld.k})")
-    order = fld.size - 1
-    table = [0] * fld.size
-    for a in range(1, fld.size):
-        table[a] = fld.exp[(fld.log[a] * q) % order]
-    return tuple(table)
+    order, exp = fld.size - 1, fld.exp
+    return (0,) + tuple([exp[a * q % order] for a in fld.log[1:]])
 
 
 @lru_cache(maxsize=None)
@@ -412,76 +434,12 @@ def _extender(fld: Field) -> Callable[[State, Sequence[int]], State]:
     return extend
 
 
-def _reduced(fld: Field, state: State) -> Tuple[Row, ...]:
-    """Canonical reduced row-echelon rows of a state's span: the pairs,
-    highest pivot first, each extend the already reduced ones."""
-    extend = _extender(fld)
-    done: State = ()
-    for _pv, row in sorted(state, reverse=True):
-        done = extend(done, row)
-    return tuple(tuple(row) for _pv, row in reversed(done))
-
-
-def rref(fld: Field, rows: Iterable[Row]) -> Tuple[Row, ...]:
-    """Canonical reduced row-echelon rows spanning the same space."""
-    extend = _extender(fld)
-    state: State = ()
-    for row in rows:
-        state = extend(state, row)
-    return _reduced(fld, state)
-
-
 # ---------------------------------------------------------------------------
 # flags
 
 
 def complete_dims(n: int) -> Tuple[int, ...]:
     return tuple(range(1, n))
-
-
-@dataclass(frozen=True)
-class Flag:
-    """Chain of proper subspaces, each as canonical echelon rows."""
-
-    field: Field
-    n: int
-    dims: Tuple[int, ...]
-    steps: Tuple[Tuple[Row, ...], ...]
-
-
-def flag_from_chain(fld: Field, n: int, chain: Sequence[Sequence[Row]]) -> Flag:
-    """Build a flag from generating rows per step (cumulative spans).
-
-    Step i of the result spans all rows of chain[0..i]; dims must be
-    strictly increasing and proper (< n).
-    """
-    steps: List[Tuple[Row, ...]] = []
-    acc: List[Row] = []
-    prev = 0
-    for gen_rows in chain:
-        for r in gen_rows:
-            if len(r) != n:
-                raise UsageError(f"row of length {len(r)} in ambient dimension {n}")
-            if any(not 0 <= x < fld.size for x in r):
-                raise UsageError("row entries outside the field")
-        acc.extend(tuple(r) for r in gen_rows)
-        step = rref(fld, acc)
-        if not len(step) > prev:
-            raise UsageError("flag steps must strictly increase in dimension")
-        prev = len(step)
-        steps.append(step)
-    if prev >= n:
-        raise UsageError("flag steps must be proper subspaces")
-    return Flag(field=fld, n=n, dims=tuple(len(s) for s in steps), steps=tuple(steps))
-
-
-def frobenius_flag(flag: Flag, q: int) -> Flag:
-    frob = flag.field.frob_map(q)
-    steps = tuple(
-        rref(flag.field, [tuple(frob[x] for x in row) for row in step])
-        for step in flag.steps
-    )
-    return Flag(field=flag.field, n=flag.n, dims=flag.dims, steps=steps)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -504,13 +462,6 @@ def flag_count(n: int, dims: Sequence[int], qsize: int) -> int:
         total *= gaussian_binomial(n - prev, d - prev, qsize)
         prev = d
     return total
-
-
-def _check_dims(n: int, dims: Sequence[int]) -> Tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if any(d2 <= d1 for d1, d2 in zip((0,) + out, out)) or (out and out[-1] >= n):
-        raise UsageError(f"flag type {out} invalid in dimension {n}")
-    return out
 
 
 def _echelon_bases(
@@ -570,21 +521,6 @@ def _walk(fld: Field, n: int, dims: Tuple[int, ...], cap: int, enter, root) -> I
                 yield from rec(depth + 1, grown, child)
 
     yield from rec(0, (), root)
-
-
-def enumerate_flags(
-    fld: Field, n: int, dims: Sequence[int], cap: int = DEFAULT_ENUM_CAP
-) -> List[Flag]:
-    """Every flag of the given type exactly once (cap-guarded)."""
-    dims_t = _check_dims(n, dims)
-
-    def enter(depth, rows, state, steps):
-        return steps + (_reduced(fld, state),)
-
-    return [
-        Flag(field=fld, n=n, dims=dims_t, steps=steps)
-        for steps in _walk(fld, n, dims_t, cap, enter, ())
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -670,27 +606,6 @@ def _perm_from_ranks(rank: Sequence[Sequence[int]], n: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def relative_position(f: Flag, g: Flag) -> Tuple[int, ...]:
-    """Relative position (0-based one-line permutation) of complete flags."""
-    if f.field != g.field or f.n != g.n:
-        raise UsageError("relative position needs flags in the same space")
-    full = complete_dims(f.n)
-    if f.dims != full or g.dims != full:
-        raise UsageError("relative position is defined for complete flags")
-    extend = _extender(f.field)
-    rank = _rank_frame(f.n)
-    f_state: State = ()
-    for i, f_step in enumerate(f.steps, 1):
-        for row in f_step:
-            f_state = extend(f_state, row)
-        state = f_state
-        for j, g_step in enumerate(g.steps, 1):
-            for row in g_step:
-                state = extend(state, row)
-            rank[i][j] = len(state)
-    return _perm_from_ranks(rank, f.n)
-
-
 # ---------------------------------------------------------------------------
 # point counts
 
@@ -710,77 +625,70 @@ def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int
     dims = complete_dims(n)
     size = fld.size
     frob = fld.frob_map(q)
-    unfrob = [0] * size
-    for a, b in enumerate(frob):
-        unfrob[b] = a
-    rational = rational_scalars(fld, q)
     extend = _extender(fld)
     rank = _rank_frame(n)  # rank(F_i + G_j), G = Frob(F); depth k writes max(i, j) = k
 
     def enter(depth, rows, state, ctx):
-        # ctx: the states of F_i + G_{k-1} for i < k, the images of b_1..b_{k-1},
-        # and the state of V_{k-1}
-        sums, images, _parent = ctx
+        # ctx: the states of F_i + G_{k-1} for 0 < i < k, and the images of
+        # b_1..b_{k-1}
+        sums, images = ctx
         k = depth + 1
         image = [frob[x] for x in rows[0]]
-        images = images + (image,)
+        images += (image,)
         nxt = []
-        for i, st in enumerate(sums):
+        for i, st in enumerate(sums, 1):
             st = extend(st, image)
             rank[i][k] = len(st)
             nxt.append(st)
-        st = state
         for j, image_j in enumerate(images, 1):
-            st = extend(st, image_j)
-            rank[k][j] = len(st)
-        if k == n - 1:
-            return _perm_from_ranks(rank, n)
-        nxt.append(st)
-        return nxt, images, state
+            state = extend(state, image_j)
+            rank[k][j] = len(state)
+        nxt.append(state)
+        return nxt, images
 
-    # The hyperplanes H over V_{n-2} are the points of the line V / V_{n-2}:
-    # x < size stands for the row with 1 at c1 and x at c2, size for the row
-    # with 1 at c2 (c1 < c2 the non-pivot coordinates).  The new ranks are
-    # incidences: rank(V_i + Frob H) = n-1 iff Frob^-1 V_i lies in H,
-    # rank(H + G_j) = n-1 iff G_j lies in H, rank(H + Frob H) = n-1 iff H is
-    # rational.  Each holds for every H, for none, or for one H (the sum
-    # with V_{n-2} when that is a hyperplane), and a rational H lies over a
-    # rational V_{n-2} or equals V_{n-2} + G_{n-2}.  So the H outside the
-    # special set below share one rank matrix, evaluated once.  The walk is
-    # suspended at each V_{n-2} it yields, so rank holds that node's entries.
-    counts: Counter = Counter()
+    # A hyperplane H over V_{n-2} adds to the rank matrix only incidences:
+    # rank(V_i + Frob H) = n-1 iff Frob^-1 V_i lies in H, i <= a for one a,
+    # rank(H + G_j) = n-1 iff G_j lies in H, j <= b, and rank(H + Frob H) =
+    # n-1 iff H is rational.  Most H hold only what V_{n-2} holds, a0 and b0
+    # read from the node's column and row of ranks.  A rational V_{n-2} holds
+    # every Frob^-1 V_i and G_j, under q + 1 rational H and Q - q others.
+    # Otherwise H_a = V_{n-2} + Frob^-1 V_{a0+1} and H_b = V_{n-2} + G_{b0+1}
+    # are the special H: H_a holds the Frob^-1 V_i with rank below n in the
+    # column, H_b the G_j with rank below n in the row, and an H is rational
+    # iff a = b = n-2.  They are equal iff Frob H_a = V_{a0+1} + G_{n-2}, a
+    # state the node carries, holds Frob G_{b0+1}.  So the leaves of a node
+    # depend only on its rank block and on that one echelon step: the walk
+    # (suspended at each V_{n-2} it yields, so rank holds that node's
+    # entries) counts the nodes by those, and each distinct one is read once.
+    m = n - 2
+    nodes: Counter = Counter()
     # the caller checked the cap on the complete flags; the walk visits fewer
     walk_cap = flag_count(n, dims, size)
-    for ctx in _walk(fld, n, dims[:-1], walk_cap, enter, ([()], (), ())):
-        base = ctx[2]
-        taken = {pv for pv, _row in base}
-        c1, c2 = [c for c in range(n) if c not in taken]
-        if rank[n - 2][n - 2] == n - 2:
-            # V_{n-2} is rational, so it holds every Frob^-1 V_i and G_j
-            special = set(rational)
-            special.add(size)
+    for sums, images in _walk(fld, n, dims[:-1], walk_cap, enter, ([], ())):
+        a0, b0 = [rank[i][m] for i in range(1, n - 1)].count(m), rank[m][1:n - 1].count(m)
+        same = a0 < m and len(extend(sums[a0], [frob[x] for x in images[b0]])) < n
+        nodes[tuple(tuple(r[:n - 1]) for r in rank[1:n - 1]), same] += 1
+    counts: Counter = Counter()
+    for (block, same), nodes_here in nodes.items():
+        for i, r in enumerate(block, 1):
+            rank[i][:n - 1] = r
+        col = [rank[i][m] for i in range(1, n - 1)]
+        row = rank[m][1:n - 1]
+        a0, b0 = col.count(m), row.count(m)
+        a1, b1 = m - col.count(n), m - row.count(n)
+        if a0 == m:
+            classes = [(m, m, True, q + 1), (m, m, False, size - q)]
+        elif same:
+            classes = [(a1, b1, a1 == b1 == m, 1), (a0, b0, False, size)]
         else:
-            special = set()
-            preimages = ([unfrob[x] for x in row] for _pv, row in base)
-            for chain in (preimages, ctx[1]):
-                st = base
-                for row in chain:
-                    st = extend(st, row)
-                    if len(st) > n - 2:
-                        row = st[-1][1]
-                        special.add(row[c2] if row[c1] else size)
-                        break
-
-        def leaf(x):
-            row = [0] * n
-            row[c1], row[c2] = (1, x) if x < size else (0, 1)
-            return enter(n - 2, [row], base + ((c1 if row[c1] else c2, row),), ctx)
-
-        for x in special:
-            counts[leaf(x)] += 1
-        generic = size + 1 - len(special)
-        if generic:
-            counts[leaf(next(x for x in range(size + 1) if x not in special))] += generic
+            classes = [(a1, b0, False, 1), (a0, b1, False, 1), (a0, b0, False, size - 1)]
+        for a, b, rational, mult in classes:
+            if mult:
+                for i in range(1, n - 1):
+                    rank[i][n - 1] = n - 1 if i <= a else n
+                    rank[n - 1][i] = n - 1 if i <= b else n
+                rank[n - 1][n - 1] = n - 1 if rational else n
+                counts[_perm_from_ranks(rank, n)] += mult * nodes_here
     return tuple(sorted(counts.items()))
 
 
@@ -818,26 +726,25 @@ def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> in
             f"projective space over {fld!r} has {npoints} points, exceeding cap {cap}"
         )
     scal = rational_scalars(fld, q)
-    mul, add = fld.mul, fld.add
+    add = fld.add
+    rows = {s: tuple([fld.mul(s, x) for x in range(size)]) for s in scal}
 
     def normalized(pool: Sequence[int]) -> Iterator[Row]:
         for lead in range(n):
             for tail in iproduct(pool, repeat=n - 1 - lead):
                 yield (0,) * lead + (1,) + tail
 
-    hyperplanes = list(normalized(scal))
+    # each hyperplane as (coordinate, product row) over its nonzero entries
+    hyperplanes = [[(i, rows[a]) for i, a in enumerate(h) if a] for h in normalized(scal)]
     count = 0
     for pt in normalized(tuple(range(size))):
-        good = True
         for h in hyperplanes:
             acc = 0
-            for a, b in zip(h, pt):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            if acc == 0:
-                good = False
+            for i, row in h:
+                acc = add(acc, row[pt[i]])
+            if not acc:
                 break
-        if good:
+        else:
             count += 1
     return count
 
@@ -901,49 +808,6 @@ def _check_subspace_cap(n: int, q: int, cap: int) -> None:
         raise CapacityError(
             f"GF({q})^{n} has {count} rational proper subspaces, exceeding cap {cap}"
         )
-
-
-@lru_cache(maxsize=None)
-def _rational_subspaces(fld: Field, q: int, n: int) -> Tuple[State, ...]:
-    """The states of all proper subspaces of fld^n rational over GF(q)."""
-    scal = rational_scalars(fld, q)
-    return tuple(st for d in range(1, n) for st in _echelon_bases(scal, range(n), n, d))
-
-
-def semistable(nu, flag: Flag, q: int) -> bool:
-    """Slope test of a flag against every subspace rational over GF(q).
-
-    `nu` (weakly decreasing, one value per graded line) induces degrees:
-    the flag's graded piece i is weighted by the i-th distinct value.  The
-    flag is semistable when no rational proper subspace has slope
-    exceeding the total slope.
-    """
-    vnu = _single_nu(nu)
-    if len(vnu) != flag.n:
-        raise UsageError(f"cocharacter length {len(vnu)} vs ambient {flag.n}")
-    if nu_jump_dims(vnu) != flag.dims:
-        raise UsageError(
-            f"flag type {flag.dims} does not match cocharacter jumps {nu_jump_dims(vnu)}"
-        )
-    prime_power(q)
-    if not flag.dims:
-        return True  # the trivial flag
-    fld, n, total = flag.field, flag.n, sum(vnu)
-    _check_subspace_cap(n, q, DEFAULT_ENUM_CAP)
-    extend = _extender(fld)
-    # the graded piece between cuts k-1 and k has weight seg[k], so
-    # deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]})
-    seg = [vnu[0]] + [vnu[d] for d in flag.dims]
-    for u in _rational_subspaces(fld, q, n):
-        du, ust = len(u), u
-        deg = seg[-1] * du
-        for k, (d, step) in enumerate(zip(flag.dims, flag.steps)):
-            for row in step:
-                ust = extend(ust, row)
-            deg += (seg[k] - seg[k + 1]) * (du + d - len(ust))
-        if deg * n > total * du:
-            return False
-    return True
 
 
 def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:

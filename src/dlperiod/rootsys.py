@@ -266,8 +266,8 @@ def _root_table(kind: str, rank: int):
 
 def _rank(rank) -> int:
     """An integer rank from an int or a decimal string; anything else raises
-    UsageError, so a float is never truncated."""
-    if isinstance(rank, (int, str)):
+    UsageError, so a float is never truncated and a bool is no rank."""
+    if isinstance(rank, (int, str)) and not isinstance(rank, bool):
         try:
             return int(rank)
         except ValueError:

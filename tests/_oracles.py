@@ -1,16 +1,38 @@
 """Independent oracles used by the test suite.
 
-Deliberately self-contained: these routines re-decide things the package
-also computes, by different algorithms, sharing no code with src/.  Keep
-them dumb and obviously correct rather than fast.  The matrix helpers at
-the end let the Weyl tests act with and multiply an element's exact
-`.matrix`, which the package only derives, and `reflect` applies the
-reflection in a root by the textbook formula.
+Deliberately self-contained where they can be: the feasibility and matrix
+routines re-decide things the package also computes, by different
+algorithms, sharing no code with src/.  Keep them dumb and obviously
+correct rather than fast.  The matrix helpers let the Weyl tests act with
+and multiply an element's exact `.matrix`, which the package only derives,
+and `reflect` applies the reflection in a root by the textbook formula.
+
+The flag helpers at the end (`Flag`, `rref`, `enumerate_flags`,
+`relative_position`, `semistable`, ...) decide one flag at a time what
+`gfflag` counts in bulk.  They call its echelon step `_extender` and its
+flag walk `_walk`, and read its rank-matrix helpers, caps and
+cocharacter checks.
 """
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from dlperiod import UsageError
+from dlperiod.gfflag import (
+    DEFAULT_ENUM_CAP,
+    _check_subspace_cap,
+    _echelon_bases,
+    _extender,
+    _perm_from_ranks,
+    _rank_frame,
+    _single_nu,
+    _walk,
+    complete_dims,
+    nu_jump_dims,
+    prime_power,
+    rational_scalars,
+)
 
 Q = Fraction
 
@@ -146,3 +168,154 @@ def reflect(x, alpha):
         raise ValueError("reflect: zero root")
     c = 2 * dot(x, alpha) / aa
     return tuple(a - c * b for a, b in zip(x, alpha))
+
+
+# -- flags over finite fields, one at a time ---------------------------------
+
+
+def _reduced(fld, state):
+    """Canonical reduced row-echelon rows of a state's span: the pairs,
+    highest pivot first, each extend the already reduced ones."""
+    extend = _extender(fld)
+    done = ()
+    for _pv, row in sorted(state, reverse=True):
+        done = extend(done, row)
+    return tuple(tuple(row) for _pv, row in reversed(done))
+
+
+def rref(fld, rows):
+    """Canonical reduced row-echelon rows spanning the same space."""
+    extend = _extender(fld)
+    state = ()
+    for row in rows:
+        state = extend(state, row)
+    return _reduced(fld, state)
+
+
+@dataclass(frozen=True)
+class Flag:
+    """Chain of proper subspaces, each as canonical echelon rows."""
+
+    field: object
+    n: int
+    dims: tuple
+    steps: tuple
+
+
+def flag_from_chain(fld, n, chain):
+    """Build a flag from generating rows per step (cumulative spans).
+
+    Step i of the result spans all rows of chain[0..i]; dims must be
+    strictly increasing and proper (< n).
+    """
+    steps = []
+    acc = []
+    prev = 0
+    for gen_rows in chain:
+        for r in gen_rows:
+            if len(r) != n:
+                raise UsageError(f"row of length {len(r)} in ambient dimension {n}")
+            if any(not 0 <= x < fld.size for x in r):
+                raise UsageError("row entries outside the field")
+        acc.extend(tuple(r) for r in gen_rows)
+        step = rref(fld, acc)
+        if not len(step) > prev:
+            raise UsageError("flag steps must strictly increase in dimension")
+        prev = len(step)
+        steps.append(step)
+    if prev >= n:
+        raise UsageError("flag steps must be proper subspaces")
+    return Flag(field=fld, n=n, dims=tuple(len(s) for s in steps), steps=tuple(steps))
+
+
+def frobenius_flag(flag, q):
+    frob = flag.field.frob_map(q)
+    steps = tuple(
+        rref(flag.field, [tuple(frob[x] for x in row) for row in step])
+        for step in flag.steps
+    )
+    return Flag(field=flag.field, n=flag.n, dims=flag.dims, steps=steps)
+
+
+def _check_dims(n, dims):
+    out = tuple(int(d) for d in dims)
+    if any(d2 <= d1 for d1, d2 in zip((0,) + out, out)) or (out and out[-1] >= n):
+        raise UsageError(f"flag type {out} invalid in dimension {n}")
+    return out
+
+
+def enumerate_flags(fld, n, dims, cap=DEFAULT_ENUM_CAP):
+    """Every flag of the given type exactly once (cap-guarded)."""
+    dims_t = _check_dims(n, dims)
+
+    def enter(depth, rows, state, steps):
+        return steps + (_reduced(fld, state),)
+
+    return [
+        Flag(field=fld, n=n, dims=dims_t, steps=steps)
+        for steps in _walk(fld, n, dims_t, cap, enter, ())
+    ]
+
+
+def relative_position(f, g):
+    """Relative position (0-based one-line permutation) of complete flags."""
+    if f.field != g.field or f.n != g.n:
+        raise UsageError("relative position needs flags in the same space")
+    full = complete_dims(f.n)
+    if f.dims != full or g.dims != full:
+        raise UsageError("relative position is defined for complete flags")
+    extend = _extender(f.field)
+    rank = _rank_frame(f.n)
+    f_state = ()
+    for i, f_step in enumerate(f.steps, 1):
+        for row in f_step:
+            f_state = extend(f_state, row)
+        state = f_state
+        for j, g_step in enumerate(g.steps, 1):
+            for row in g_step:
+                state = extend(state, row)
+            rank[i][j] = len(state)
+    return _perm_from_ranks(rank, f.n)
+
+
+@lru_cache(maxsize=None)
+def _rational_subspaces(fld, q, n):
+    """The states of all proper subspaces of fld^n rational over GF(q)."""
+    scal = rational_scalars(fld, q)
+    return tuple(st for d in range(1, n) for st in _echelon_bases(scal, range(n), n, d))
+
+
+def semistable(nu, flag, q):
+    """Slope test of a flag against every subspace rational over GF(q).
+
+    `nu` (weakly decreasing, one value per graded line) induces degrees:
+    the flag's graded piece i is weighted by the i-th distinct value.  The
+    flag is semistable when no rational proper subspace has slope
+    exceeding the total slope.
+    """
+    vnu = _single_nu(nu)
+    if len(vnu) != flag.n:
+        raise UsageError(f"cocharacter length {len(vnu)} vs ambient {flag.n}")
+    if nu_jump_dims(vnu) != flag.dims:
+        raise UsageError(
+            f"flag type {flag.dims} does not match cocharacter jumps {nu_jump_dims(vnu)}"
+        )
+    prime_power(q)
+    if not flag.dims:
+        return True  # the trivial flag
+    fld, n, total = flag.field, flag.n, sum(vnu)
+    _check_subspace_cap(n, q, DEFAULT_ENUM_CAP)
+    extend = _extender(fld)
+    # the graded piece between cuts k-1 and k has weight seg[k], so
+    # deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]})
+    seg = [vnu[0]] + [vnu[d] for d in flag.dims]
+    for u in _rational_subspaces(fld, q, n):
+        du, ust = len(u), u
+        deg = seg[-1] * du
+        for k, (d, step) in enumerate(zip(flag.dims, flag.steps)):
+            for row in step:
+                ust = extend(ust, row)
+            deg += (seg[k] - seg[k + 1]) * (du + d - len(ust))
+        if deg * n > total * du:
+            return False
+    return True

@@ -7,24 +7,29 @@ from math import comb
 
 import pytest
 
+from _oracles import (
+    _rational_subspaces,
+    enumerate_flags,
+    flag_from_chain,
+    frobenius_flag,
+    relative_position,
+    rref,
+    semistable,
+)
 from dlperiod import CapacityError, UsageError
 from dlperiod.gfflag import (
     DEFAULT_ENUM_CAP,
     Cochar,
     Field,
     _dl_tally_cached,
-    _rational_subspaces,
     build_extension,
     cochar,
     complete_dims,
     coxeter_perm,
     dl_point_count,
     dl_point_tally,
-    enumerate_flags,
     field_build,
     flag_count,
-    flag_from_chain,
-    frobenius_flag,
     gaussian_binomial,
     nu_jump_dims,
     omega_point_count,
@@ -32,9 +37,6 @@ from dlperiod.gfflag import (
     perm_from_word,
     prime_power,
     rational_scalars,
-    relative_position,
-    rref,
-    semistable,
 )
 
 # frozen tallies for complete flags on a 3-space over GF(2), by extension degree

@@ -169,6 +169,15 @@ def test_rank_ranges_and_kind_normalization():
     assert str(build_root_system("B", 3, "paper5")) == "B3[paper5]"
 
 
+def test_bool_rank_is_refused():
+    # bool is an int subclass; True must not read as rank 1
+    for kind in ("A", "A1", "B"):
+        with pytest.raises(UsageError, match="rank True is not an integer"):
+            build_root_system(kind, True)
+    with pytest.raises(UsageError, match="rank False is not an integer"):
+        gp_enumerate("D", False)
+
+
 def test_paper5_profiles():
     b = build_root_system("B", 3, "paper5")
     assert b.gen_names == ("t", "s1", "s2")
