@@ -266,10 +266,10 @@ class Field:
             self.add = xor
             self.neg = lambda a: a
         else:
-            negs: Tuple[int, ...] = (0,)
+            negs = [0]
             for i in range(k):  # -(t p^i + a) = (p - t) p^i - a
-                negs += tuple([x + (p - t) * p**i for t in range(1, p) for x in negs])
-            self.neg = lambda a, _n=negs: _n[a]
+                negs += [x + (p - t) * p**i for t in range(1, p) for x in negs]
+            self.neg = lambda a, _n=tuple(negs): _n[a]
             if p > 256:
                 self.add = lambda a, b: (a + b) % p
             else:
@@ -312,7 +312,7 @@ class Field:
         for i, v in enumerate(exp):
             log[v] = i
         self.log: Tuple[int, ...] = tuple(log)
-        if -1 in log[1:]:  # pragma: no cover
+        if log.count(-1) > 1:  # pragma: no cover
             raise AssertionError(f"GF({p}^{k}): exp table does not cover all units")
 
     def mul(self, a: int, b: int) -> int:
@@ -345,7 +345,9 @@ def _frob_table(fld: Field, q: int) -> Tuple[int, ...]:
     if p != fld.p or fld.k % m != 0:
         raise UsageError(f"GF({q}) is not a subfield of GF({fld.p}^{fld.k})")
     order, exp = fld.size - 1, fld.exp
-    return (0,) + tuple([exp[a * q % order] for a in fld.log[1:]])
+    table = [exp[a * q % order] for a in fld.log]
+    table[0] = 0
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
