@@ -12,8 +12,8 @@ skipped).  The exp walk adds g*(low digits) and g*(high digits) from two
 tables built by additivity.  Addition is XOR in characteristic 2 and
 otherwise reads one digit-built table of at most 256 rows (over all digits
 up to 256 elements, else chunk by chunk; a larger prime field adds mod p),
-each row a rotation of a lower one, so the flag loops below stay
-integer-only.
+each row a block rotation of a row built from the digits below, so the
+flag loops below stay integer-only.
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
