@@ -188,6 +188,16 @@ def test_gp_datum_validation():
     assert str(GPDatum("A", 3, (2, 1), (1, 1))) == "A3(2,1;+,+)"
 
 
+def test_gp_data_are_values():
+    a = GPDatum("D", 5, (2, 2), (1, -1), "s1")
+    b = GPDatum(kind="D", rank=5, parts=(2, 2), signs=(1, -1), delta="s1")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert gp_element(a) is gp_element(b)
+    assert repr(a) == "GPDatum(kind='D', rank=5, parts=(2, 2), signs=(1, -1), delta='s1')"
+    with pytest.raises(AttributeError):
+        a.rank = 6
+
+
 def test_gp_word_tokens_frozen():
     assert gp_word_tokens(GPDatum("A", 3, (3,), (1,))) == ("s1", "s2")
     assert gp_word_tokens(GPDatum("B", 2, (2,), (-1,))) == ("sp0", "s1")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -7,6 +8,7 @@ from _oracles import ray_feasible
 from dlperiod import UsageError
 from dlperiod.dlcrit import MODES, build_criterion_system
 from dlperiod.feaslin import (
+    FeasibilityResult,
     LinearForm,
     StrictSystem,
     form_label,
@@ -59,6 +61,21 @@ def test_input_validation():
         strict_system([(1, 0), (1, 0, 0)])  # mixed dimensions
     with pytest.raises(UsageError):
         strict_system([()])
+
+
+
+def test_system_messages():
+    with pytest.raises(UsageError, match=re.escape("mixed form dimensions in system: [2, 3]")):
+        strict_system([(1, 0), (1, 0, 0)])
+    with pytest.raises(UsageError, match="^zero-dimensional forms$"):
+        strict_system([()])
+
+
+def test_results_are_read_only():
+    r = FeasibilityResult(feasible=True, witness=(1,))
+    with pytest.raises(AttributeError):
+        r.feasible = False
+    assert r == FeasibilityResult(True, (1,), None)
 
 
 def test_accepts_linear_forms_and_fractions():

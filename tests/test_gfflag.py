@@ -254,6 +254,18 @@ def test_cochar_and_jumps():
         cochar(())
 
 
+def test_cochar_messages():
+    cases = [
+        ((), "empty cocharacter"),
+        (((1,), (1, 0)), "cocharacter factors of unequal lengths [1, 2]"),
+        (((),), "empty cocharacter factor"),
+    ]
+    for vectors, msg in cases:
+        with pytest.raises(UsageError) as err:
+            cochar(*vectors)
+        assert str(err.value) == msg
+
+
 def test_semistable_lines_over_gf4():
     f4 = build_extension(2, 2)
     lines = enumerate_flags(f4, 2, (1,))

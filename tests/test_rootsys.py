@@ -210,6 +210,10 @@ def test_coxeter_positive_roots_flip_only_for_paper5_bd():
 def test_interning():
     assert build_root_system("A", 3) is build_root_system("A", 3)
     assert build_root_system("A", 3) is not build_root_system("A", 3, "paper5")
+    rs = build_root_system("B", 3)
+    assert rs == build_root_system("B", 3) and rs != build_root_system("B", 3, "paper5")
+    with pytest.raises(AttributeError):
+        rs.rank = 4
 
 
 # sha256 of the public root data of every system up to rank 8, one digest

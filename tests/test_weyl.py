@@ -217,6 +217,17 @@ def test_group_ops():
         act(a, (Q(1), Q(2)))  # ambient is 3 here
 
 
+def test_elements_are_read_only_values():
+    rs = build_root_system("G", 2)
+    a = from_word(rs, "s1 s2 s1")
+    b = from_word(rs, "s2 s1 s2 s1 s2 s1 s2 s1 s2")  # the same element
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != from_word(build_root_system("A", 2), "s1 s2 s1")
+    assert a != a.perm
+    with pytest.raises(AttributeError):
+        a.perm = b.perm
+
+
 def test_reflections():
     rs = build_root_system("B", 2, "paper5")
     assert is_reflection_matrix(from_word(rs, "t"))
