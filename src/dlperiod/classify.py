@@ -27,7 +27,7 @@ record count exceeds `gfflag.DEFAULT_ENUM_CAP`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product as iproduct
 from math import comb, factorial
@@ -49,32 +49,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "n t", defaults=(1,))):
     """t rotated factors, each projective linear of degree n (split form)."""
 
-    n: int
-    t: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise UsageError(f"factor degree must be >= 2, got {self.n}")
-        if self.t < 1:
-            raise UsageError(f"factor count must be >= 1, got {self.t}")
+    def __new__(cls, n: int, t: int = 1):
+        if n < 2:
+            raise UsageError(f"factor degree must be >= 2, got {n}")
+        if t < 1:
+            raise UsageError(f"factor count must be >= 1, got {t}")
+        return super().__new__(cls, n, t)
 
     @property
     def rank(self) -> int:
         return self.n - 1
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str  # "drinfeld_case" | "excluded"
-    reason: str
-    n: int
-    t: int
-    side: Optional[str] = None  # "lower" | "upper" for drinfeld_case
-    chain: Tuple[Tuple[str, int], ...] = ()
+class Verdict(namedtuple("Verdict", "outcome reason n t side chain", defaults=(None, ()))):
+    """`outcome` is "drinfeld_case" or "excluded"; `side` is "lower" or
+    "upper" for a drinfeld_case, else None; `chain` holds (test, value)
+    pairs."""
+
+    __slots__ = ()
 
     @property
     def is_case(self) -> bool:
@@ -95,7 +92,8 @@ def _normalize_ws(spec: GroupSpec, ws) -> Tuple[WeylElem, ...]:
     rs = _factor_system(spec.n)
     for w in tup:
         if not isinstance(w, WeylElem) or w.rs is not rs:
-            raise UsageError(f"factor elements must come from {rs}; got {w!r}")
+            got = w if isinstance(w, WeylElem) else repr(w)
+            raise UsageError(f"factor elements must come from {rs}; got {got}")
     return tup
 
 
@@ -201,14 +199,8 @@ def theorem_verdict(spec: GroupSpec, ws, nu) -> Verdict:
     return _verdict(spec.n, spec.t, lw, covered, nus)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    n: int
-    t: int
-    q: int
-    words: Tuple[Tuple[str, ...], ...]  # reduced word (names) per factor
-    nu: Cochar
-    verdict: Verdict
+# `words` holds the reduced word (names) of each factor
+ScanRecord = namedtuple("ScanRecord", "n t q words nu verdict")
 
 
 def _decreasing_vectors(n: int, bound: int) -> List[Tuple[int, ...]]:

@@ -16,7 +16,7 @@ commuting.  These are the reachability targets used by the scan drivers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple, Union
@@ -75,18 +75,10 @@ def _normalize_f(rs: RootSystem, F: GenMap) -> Optional[Tuple[int, ...]]:
     return perm
 
 
-@dataclass(frozen=True)
-class ShiftStep:
-    gen: int  # 0-based generator position
-    source: WeylElem
-    target: WeylElem
-
-
-@dataclass(frozen=True)
-class ReductionChain:
-    start: WeylElem
-    steps: Tuple[ShiftStep, ...]
-    terminal: WeylElem
+# one move source -> target by the generator at 0-based position `gen`
+ShiftStep = namedtuple("ShiftStep", "gen source target")
+# the moves from `start` down to `terminal`, a tuple of ShiftSteps
+ReductionChain = namedtuple("ReductionChain", "start steps terminal")
 
 
 def cyclic_shift_step(w: WeylElem, gen: int, F: GenMap = None) -> WeylElem:
@@ -195,8 +187,7 @@ def min_length_bruteforce(
 _DELTAS = ("one", "s1", "tprime")
 
 
-@dataclass(frozen=True)
-class GPDatum:
+class GPDatum(namedtuple("GPDatum", "kind rank parts signs delta", defaults=("one",))):
     """Composition-with-signs datum for a distinguished representative.
 
     `rank` is the number of permuted coordinates; `parts` is a composition
@@ -205,33 +196,29 @@ class GPDatum:
     +1 for kind A).  `delta` is an extra left factor for kind D only.
     """
 
-    kind: str
-    rank: int
-    parts: Tuple[int, ...]
-    signs: Tuple[int, ...]
-    delta: str = "one"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("A", "B", "D"):
-            raise UsageError(f"block representatives exist for kinds A, B, D, not {self.kind}")
-        min_rank = {"A": 2, "B": 2, "D": 4}[self.kind]
-        if self.rank < min_rank:
-            raise UsageError(f"kind {self.kind} needs rank >= {min_rank}")
-        body = self.rank if self.kind in ("A", "B") else self.rank - 1
-        if not self.parts or any(p < 1 for p in self.parts):
+    def __new__(cls, kind: str, rank: int, parts: Tuple[int, ...], signs: Tuple[int, ...],
+                delta: str = "one"):
+        if kind not in ("A", "B", "D"):
+            raise UsageError(f"block representatives exist for kinds A, B, D, not {kind}")
+        min_rank = {"A": 2, "B": 2, "D": 4}[kind]
+        if rank < min_rank:
+            raise UsageError(f"kind {kind} needs rank >= {min_rank}")
+        body = rank if kind in ("A", "B") else rank - 1
+        if not parts or any(p < 1 for p in parts):
             raise UsageError("parts must be a nonempty composition of positive integers")
-        if sum(self.parts) != body:
-            raise UsageError(
-                f"parts {self.parts} must sum to {body} for kind {self.kind}, rank {self.rank}"
-            )
-        if len(self.signs) != len(self.parts) or any(s not in (1, -1) for s in self.signs):
+        if sum(parts) != body:
+            raise UsageError(f"parts {parts} must sum to {body} for kind {kind}, rank {rank}")
+        if len(signs) != len(parts) or any(s not in (1, -1) for s in signs):
             raise UsageError("signs must be +-1, one per part")
-        if self.kind == "A" and any(s != 1 for s in self.signs):
+        if kind == "A" and any(s != 1 for s in signs):
             raise UsageError("kind A admits only +1 signs")
-        if self.kind != "D" and self.delta != "one":
+        if kind != "D" and delta != "one":
             raise UsageError("a delta factor is only defined for kind D")
-        if self.delta not in _DELTAS:
+        if delta not in _DELTAS:
             raise UsageError(f"delta must be one of {_DELTAS}")
+        return super().__new__(cls, kind, rank, parts, signs, delta)
 
     def __str__(self) -> str:
         sgn = ",".join("+" if s > 0 else "-" for s in self.signs)

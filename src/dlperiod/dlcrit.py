@@ -22,9 +22,9 @@ returned; a failure raises instead of returning a bad point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import UsageError
 from .conjclass import GPDatum, gp_element, gp_enumerate
@@ -72,13 +72,9 @@ def _standard_twin(w: WeylElem) -> WeylElem:
     return WeylElem(build_root_system(rs.kind, rs.rank, "bourbaki"), w.perm)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    w: WeylElem  # rehomed to the standard profile
-    q: int
-    mode: str
-    system: StrictSystem
-    result: FeasibilityResult
+# `w` is rehomed to the standard profile; `system` is a StrictSystem and
+# `result` a FeasibilityResult
+CriterionReport = namedtuple("CriterionReport", "w q mode system result")
 
 
 def build_criterion_system(w: WeylElem, q: int, mode: str = "full_D") -> StrictSystem:
@@ -252,20 +248,10 @@ def gp_witness(datum: GPDatum, q: int) -> Vector:
     return xs
 
 
-@dataclass(frozen=True)
-class GPScanEntry:
-    datum: GPDatum
-    report: CriterionReport
-
-
-@dataclass(frozen=True)
-class GPScanResult:
-    kind: str
-    rank: int
-    q: int
-    mode: str
-    entries: Tuple[GPScanEntry, ...]
-    all_pass: bool
+# one block representative (a GPDatum) and its CriterionReport
+GPScanEntry = namedtuple("GPScanEntry", "datum report")
+# the GPScanEntries of one (kind, rank, q, mode), and whether all pass
+GPScanResult = namedtuple("GPScanResult", "kind rank q mode entries all_pass")
 
 
 def scan_gp(kind: str, rank: Optional[int], q: int, mode: str = "chamber_C") -> GPScanResult:

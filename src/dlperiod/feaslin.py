@@ -26,7 +26,7 @@ returned as Fraction tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -118,22 +118,23 @@ def form_label(coeffs: Vector) -> str:
     return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class StrictSystem:
-    """Conjunction of strict conditions `form.coeffs . x > 0`."""
+class StrictSystem(namedtuple("StrictSystem", "forms")):
+    """Conjunction of strict conditions `form.coeffs . x > 0`, one per
+    LinearForm in the tuple `forms`."""
 
-    forms: Tuple[LinearForm, ...]
+    __slots__ = ()
+
+    def __new__(cls, forms: Tuple[LinearForm, ...]):
+        dims = {len(f.num) for f in forms}
+        if len(dims) > 1:
+            raise UsageError(f"mixed form dimensions in system: {sorted(dims)}")
+        if dims == {0}:
+            raise UsageError("zero-dimensional forms")
+        return super().__new__(cls, forms)
 
     @property
     def dim(self) -> int:
         return len(self.forms[0].num) if self.forms else 0
-
-    def __post_init__(self):
-        dims = {len(f.num) for f in self.forms}
-        if len(dims) > 1:
-            raise UsageError(f"mixed form dimensions in system: {sorted(dims)}")
-        if self.forms and self.dim == 0:
-            raise UsageError("zero-dimensional forms")
 
 
 def strict_system(forms: Iterable[Union[LinearForm, Sequence]]) -> StrictSystem:
@@ -146,11 +147,10 @@ def strict_system(forms: Iterable[Union[LinearForm, Sequence]]) -> StrictSystem:
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: Optional[Vector] = None  # primitive integer vector, all forms > 0
-    certificate: Optional[Vector] = None  # y >= 0, y != 0, sum y_i f_i = 0
+# `witness` is a primitive integer vector with all forms > 0, `certificate`
+# a y >= 0, y != 0 with sum y_i f_i = 0; the one not found is None
+FeasibilityResult = namedtuple("FeasibilityResult", "feasible witness certificate",
+                               defaults=(None, None))
 
 
 def verify_witness(system: StrictSystem, x: Sequence) -> bool:

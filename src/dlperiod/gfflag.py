@@ -12,8 +12,9 @@ skipped).  The exp walk adds g*(low digits) and g*(high digits) from two
 tables built by additivity.  Addition is XOR in characteristic 2 and
 otherwise reads one digit-built table of at most 256 rows (over all digits
 up to 256 elements, else chunk by chunk; a larger prime field adds mod p),
-each row a block rotation of a row built from the digits below, so the
-flag loops below stay integer-only.
+each row a block rotation of a row built from the digits below and held
+as `bytes` (entries are below 256), so the flag loops below stay
+integer-only and the garbage collector has no int tuples to scan.
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
@@ -59,8 +60,7 @@ Three counters are exposed:
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 from operator import xor
@@ -236,14 +236,15 @@ def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
     raise AssertionError(f"GF({p}^{k}) has no primitive element")  # pragma: no cover
 
 
-def _digit_sums(p: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+def _digit_sums(p: int, d: int) -> Tuple[bytes, ...]:
     """The addition table of d-digit base-p numbers, digit-wise mod p, built
     one top digit at a time: row a + t p^i is row a, whose blocks add
-    0, 1, .., p-1 to digit i, rotated by t blocks."""
-    tbl: Tuple[Tuple[int, ...], ...] = ((0,),)
+    0, 1, .., p-1 to digit i, rotated by t blocks.  Rows are bytes, since
+    p^d <= 256: the collector never scans them."""
+    tbl: Tuple[bytes, ...] = (b"\0",)
     for i in range(d):
         h = p**i
-        base = [tuple(x + t * h for t in range(p) for x in row) for row in tbl]
+        base = [bytes(x + t * h for t in range(p) for x in row) for row in tbl]
         tbl = tuple(row[s:] + row[:s] for s in range(0, h * p, h) for row in base)
     return tbl
 
@@ -261,7 +262,7 @@ class Field:
         # most 256 rows: over all digits up to 256 elements, else chunk by
         # chunk, in chunks as even as their number allows (GF(37^3): three
         # through 37 rows); FIELD_CAP leaves only prime fields with p > 256
-        self._sums: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._sums: Optional[Tuple[bytes, ...]] = None
         if p == 2:
             self.add = xor
             self.neg = lambda a: a
@@ -755,25 +756,26 @@ def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> in
 # semistability
 
 
-@dataclass(frozen=True)
-class Cochar:
-    """Tuple of weakly decreasing integer vectors, one per group factor."""
+class Cochar(namedtuple("Cochar", "nu")):
+    """Tuple `nu` of weakly decreasing integer vectors, one per group factor.
+    Entries must be ints; a bool is no entry."""
 
-    nu: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.nu:
+    def __new__(cls, nu: Tuple[Tuple[int, ...], ...]):
+        if not nu:
             raise UsageError("empty cocharacter")
-        lens = {len(v) for v in self.nu}
+        lens = {len(v) for v in nu}
         if len(lens) != 1:
             raise UsageError(f"cocharacter factors of unequal lengths {sorted(lens)}")
-        for v in self.nu:
+        for v in nu:
             if not v:
                 raise UsageError("empty cocharacter factor")
-            if any(int(a) != a for a in v):
+            if not all(isinstance(a, int) and not isinstance(a, bool) for a in v):
                 raise UsageError("cocharacter entries must be integers")
             if any(a < b for a, b in zip(v, v[1:])):
                 raise UsageError(f"cocharacter factor {v} is not weakly decreasing")
+        return super().__new__(cls, nu)
 
     @property
     def t(self) -> int:
@@ -788,7 +790,7 @@ def cochar(*vectors) -> Cochar:
     """Cochar from vectors: cochar((1,0,0)) or cochar((1,0),(2,2))."""
     if len(vectors) == 1 and vectors[0] and isinstance(vectors[0][0], (tuple, list)):
         vectors = tuple(vectors[0])
-    return Cochar(nu=tuple(tuple(int(a) for a in v) for v in vectors))
+    return Cochar(nu=tuple(tuple(v) for v in vectors))
 
 
 def _single_nu(nu) -> Tuple[int, ...]:

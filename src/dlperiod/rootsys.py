@@ -37,7 +37,6 @@ i + N is the negative of the image of root i, N indices away.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import chain
@@ -109,7 +108,6 @@ def weyl_order(kind: str, rank: int) -> int:
     return 12  # G2
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """An immutable root-system datum; obtain instances via build_root_system.
 
@@ -117,27 +115,38 @@ class RootSystem:
     is safe and cheap.
     """
 
-    kind: str
-    rank: int
-    profile: str
-    ambient: int
-    simple_roots: Tuple[Vector, ...]  # the profile's generator roots, in order
-    gen_names: Tuple[str, ...]
-    positive_roots: Tuple[Vector, ...]  # standard positive system, sorted
-    pos_coords: Tuple[Vector, ...]  # coords of each positive root in the
-    # standard simple basis (parallel to positive_roots)
-    coxeter_positive_roots: Tuple[Vector, ...]  # positive system whose simple
-    # roots are exactly `simple_roots`' reflections (differs from
-    # positive_roots only for paper5 B/D)
-    trace_zero: bool  # paper5-A chamber lives in the sum-zero hyperplane
-    # root numbering (see the module docstring): index -> doubled root
-    doubled: Tuple[IntVector, ...] = field(repr=False, default=())
-    # generator g sends root i to root gen_perms[g][i]
-    gen_perms: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
-    # index of each generator's simple root in the Coxeter-positive system
-    base_idx: Tuple[int, ...] = field(repr=False, default=())
-    # cox_positive[i]: root i lies in coxeter_positive_roots
-    cox_positive: Tuple[bool, ...] = field(repr=False, default=())
+    __slots__ = (
+        "kind",
+        "rank",
+        "profile",
+        "ambient",
+        "simple_roots",  # the profile's generator roots, in order
+        "gen_names",
+        "positive_roots",  # standard positive system, sorted
+        "pos_coords",  # coords of each positive root in the standard simple
+        # basis (parallel to positive_roots)
+        "coxeter_positive_roots",  # positive system whose simple roots are
+        # exactly `simple_roots`' reflections (differs from positive_roots
+        # only for paper5 B/D)
+        "trace_zero",  # paper5-A chamber lives in the sum-zero hyperplane
+        "doubled",  # root numbering (see the module docstring): index -> doubled root
+        "gen_perms",  # generator g sends root i to root gen_perms[g][i]
+        "base_idx",  # index of each generator's simple root in the Coxeter-positive system
+        "cox_positive",  # cox_positive[i]: root i lies in coxeter_positive_roots
+    )
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootSystem is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RootSystem is read-only; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"RootSystem(kind={self.kind!r}, rank={self.rank}, profile={self.profile!r})"
 
     def __str__(self) -> str:
         return f"{self.kind}{self.rank}[{self.profile}]"

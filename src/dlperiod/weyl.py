@@ -32,7 +32,6 @@ of the standard system but a simple one of its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
@@ -84,12 +83,20 @@ def _invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class WeylElem:
     """Group element: the permutation it induces on the roots of `rs`."""
 
-    rs: RootSystem
-    perm: Perm
+    __slots__ = ("rs", "perm")
+
+    def __init__(self, rs: RootSystem, perm: Perm):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "perm", perm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeylElem is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"WeylElem is read-only; cannot delete {name!r}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,6 +107,9 @@ class WeylElem:
 
     def __hash__(self) -> int:
         return hash(self.perm)
+
+    def __repr__(self) -> str:
+        return f"WeylElem(rs={self.rs!r}, perm={self.perm!r})"
 
     def __str__(self) -> str:
         return f"<{self.rs} {' '.join(word_names(self.rs, self.word))}>"

@@ -50,6 +50,18 @@ def test_res_coxeter_check():
     assert not res_coxeter_check(two, (from_word(RS3, "s1"), from_word(RS3, "s1")))
 
 
+def test_wrong_factor_elements_are_named_briefly():
+    w = from_word(build_root_system("B", 3), "s1 s2")
+    with pytest.raises(UsageError) as err:
+        res_coxeter_check(GroupSpec(3), w)
+    assert str(err.value) == (
+        "factor elements must come from A2[bourbaki]; got <B3[bourbaki] s1 s2>"
+    )
+    with pytest.raises(UsageError) as err:
+        res_coxeter_check(GroupSpec(3), ["s1"])
+    assert str(err.value) == "factor elements must come from A2[bourbaki]; got 's1'"
+
+
 def test_verdict_chain_values():
     v = theorem_verdict(GroupSpec(4), from_word(RS4, "s1 s2 s3"), (1, 1, 0, 0))
     assert v.outcome == "excluded"

@@ -212,6 +212,30 @@ def test_module_entry_point_matches_cli_main(capsys):
     assert proc.stdout == expected.encode()
 
 
+def test_package_imports_no_dataclass_machinery():
+    # records are named tuples and slotted classes, so no module of the
+    # package loads dataclasses or the modules it pulls in; -S keeps site's
+    # own imports out of the check
+    src = Path(cli.__file__).resolve().parents[1]
+    modules = ["dlperiod"] + sorted(
+        f"dlperiod.{p.stem}" for p in (src / "dlperiod").glob("*.py") if p.stem != "__init__"
+    )
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "dlperiod.cli" in modules
+    assert proc.stdout == b"\n"
+
+
 # sha256 of stdout per format, frozen from the Fraction-form implementation;
 # the integer forms must print the same bytes
 GOLDEN = [

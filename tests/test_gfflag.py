@@ -266,6 +266,18 @@ def test_cochar_messages():
         assert str(err.value) == msg
 
 
+@pytest.mark.parametrize(
+    "nu", [(1.5, 0, 0), ("1", 0, 0), (True, False), (1, 0.0)], ids=["float", "str", "bool", "zero"]
+)
+def test_cochar_refuses_non_int_entries(nu):
+    # entries are taken as given: nothing is truncated or parsed
+    with pytest.raises(UsageError) as err:
+        cochar(nu)
+    assert str(err.value) == "cocharacter entries must be integers"
+    with pytest.raises(UsageError):
+        period_point_count(nu, 2, 2)
+
+
 def test_semistable_lines_over_gf4():
     f4 = build_extension(2, 2)
     lines = enumerate_flags(f4, 2, (1,))

@@ -214,6 +214,7 @@ def test_interning():
     assert rs == build_root_system("B", 3) and rs != build_root_system("B", 3, "paper5")
     with pytest.raises(AttributeError):
         rs.rank = 4
+    assert repr(rs) == "RootSystem(kind='B', rank=3, profile='bourbaki')"
 
 
 # sha256 of the public root data of every system up to rank 8, one digest

@@ -226,6 +226,9 @@ def test_elements_are_read_only_values():
     assert a != a.perm
     with pytest.raises(AttributeError):
         a.perm = b.perm
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == f"WeylElem(rs=RootSystem(kind='G', rank=2, profile='bourbaki'), perm={a.perm})"
 
 
 def test_reflections():
