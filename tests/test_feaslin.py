@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction as Q
 
 import pytest
@@ -65,10 +64,11 @@ def test_input_validation():
 
 
 def test_system_messages():
-    with pytest.raises(UsageError, match=re.escape("mixed form dimensions in system: [2, 3]")):
-        strict_system([(1, 0), (1, 0, 0)])
-    with pytest.raises(UsageError, match="^zero-dimensional forms$"):
-        strict_system([()])
+    for rows, msg in [([(1, 0), (1, 0, 0)], "mixed form dimensions in system: [2, 3]"),
+                      ([()], "zero-dimensional forms")]:
+        with pytest.raises(UsageError) as err:
+            strict_system(rows)
+        assert str(err.value) == msg
 
 
 def test_results_are_read_only():
