@@ -62,6 +62,23 @@ def test_wrong_factor_elements_are_named_briefly():
     assert str(err.value) == "factor elements must come from A2[bourbaki]; got 's1'"
 
 
+def test_input_messages():
+    two = GroupSpec(3, t=2)
+    cases = [
+        (lambda: res_coxeter_check(two, [identity_elem(RS3)]), "expected 2 factor elements, got 1"),
+        (lambda: pd_dimension(two, (1, 0, 0)), "expected 2 cocharacter factors, got 1"),
+        (lambda: pd_dimension(GroupSpec(3), (1, 0)), "cocharacter length 2 does not match degree 3"),
+        (
+            lambda: classification_scan(1, 1, 2, 1),
+            "need n_max >= 2, t_max >= 1, nu_bound >= 0; got (1, 1, 1)",
+        ),
+    ]
+    for call, msg in cases:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == msg
+
+
 def test_verdict_chain_values():
     v = theorem_verdict(GroupSpec(4), from_word(RS4, "s1 s2 s3"), (1, 1, 0, 0))
     assert v.outcome == "excluded"

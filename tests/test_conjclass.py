@@ -264,6 +264,20 @@ def test_gp_enumerate_counts_and_order():
         gp_enumerate("D", 3)
 
 
+def test_gp_kind_and_rank_messages():
+    cases = [
+        (lambda: gp_enumerate("G", 2), "block representatives exist for kinds A, B, D, not G"),
+        (lambda: GPDatum("C", 3, (3,), (1,)), "block representatives exist for kinds A, B, D, not C"),
+        (lambda: gp_enumerate("D", 3), "rank 3 too small for kind D"),
+        (lambda: gp_enumerate("A", 1), "rank 1 too small for kind A"),
+        (lambda: GPDatum("D", 3, (2,), (1,)), "kind D needs rank >= 4"),
+    ]
+    for call, msg in cases:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == msg
+
+
 def test_gp_data_may_collide_as_elements():
     # the three delta variants are kept distinct even when two of them
     # produce the same group element

@@ -135,6 +135,21 @@ def test_scan_gp_shapes():
     assert res3.all_pass and len(res3.entries) == 54
 
 
+def test_q_and_mode_messages():
+    d = gp_enumerate("A", 2)[0]
+    modes = "('full_D', 'chamber_C')"
+    cases = [
+        (lambda: scan_gp("A", 2, 2, "everything"), f"mode must be one of {modes}, got 'everything'"),
+        (lambda: scan_gp("A", 2, 1), "q must be an integer >= 2, got 1"),
+        (lambda: gp_witness(d, 1), "q must be an integer >= 2, got 1"),
+        (lambda: build_criterion_system(gp_element(d), 2.0), "q must be an integer >= 2, got 2.0"),
+    ]
+    for call, msg in cases:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == msg
+
+
 def test_report_payload_is_json_ready():
     rs = build_root_system("G", 2)
     rep = check_dl_criterion(from_word(rs, "s1 s2 s1"), 2, "full_D")

@@ -172,6 +172,40 @@ def test_perm_from_word_and_coxeter():
         perm_from_word(3, "s3")
 
 
+def test_perm_from_word_takes_digit_tokens():
+    assert perm_from_word(3, "1 2") == perm_from_word(3, "s1 s2") == (1, 2, 0)
+    assert perm_from_word(3, [2, "s1"]) == perm_from_word(3, "s2 s1")
+
+
+# every error path of the cell (n, q, e), cocharacter and permutation rules
+INPUT_RULE_MESSAGES = {
+    "n": (lambda: dl_point_tally(1, 2, 1), "ambient dimension must be >= 2, got 1"),
+    "omega_e": (lambda: omega_point_count(3, 2, 0), "e must be >= 1, got 0"),
+    "period_e": (lambda: period_point_count((1, 0), 2, 0), "e must be >= 1, got 0"),
+    "extension_e": (lambda: build_extension(2, 0), "extension degree must be >= 1, got 0"),
+    "field_p": (lambda: field_build(4, 1), "field characteristic must be prime, got 4"),
+    "field_k": (lambda: field_build(2, 0), "field degree must be >= 1, got 0"),
+    "two_factor_cochar": (
+        lambda: period_point_count(cochar((1, 0), (0, 0)), 2, 2),
+        "this operation takes a single-factor cocharacter",
+    ),
+    "nested_vectors": (lambda: cochar([[(1, 0)]]), "cocharacter entries must be integers"),
+    "non_permutation": (
+        lambda: dl_point_count(3, 2, 2, (0, 0, 1)),
+        "(0, 0, 1) is not a 0-based permutation of range(3)",
+    ),
+    "unknown_token": (lambda: perm_from_word(3, "s1 x2"), "unknown permutation token 'x2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_RULE_MESSAGES))
+def test_input_rule_messages(case):
+    call, msg = INPUT_RULE_MESSAGES[case]
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == msg
+
+
 def test_relative_position_identity_and_inverse():
     f2 = build_extension(2, 1)
     flags = enumerate_flags(f2, 3, (1, 2))
