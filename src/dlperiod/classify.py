@@ -98,9 +98,7 @@ def _normalize_ws(spec: GroupSpec, ws) -> Tuple[WeylElem, ...]:
 
 
 def _normalize_nu(spec: GroupSpec, nu) -> Cochar:
-    cc = nu if isinstance(nu, Cochar) else cochar(*nu) if nu and isinstance(
-        nu[0], (tuple, list)
-    ) else cochar(tuple(nu))
+    cc = cochar(nu)
     if cc.t != spec.t:
         raise UsageError(f"expected {spec.t} cocharacter factors, got {cc.t}")
     if cc.n != spec.n:

@@ -185,6 +185,15 @@ def min_length_bruteforce(
 
 
 _DELTAS = ("one", "s1", "tprime")
+# the least rank of each kind with block representatives
+_GP_MIN_RANK = {"A": 2, "B": 2, "D": 4}
+
+
+def _check_gp_rank(kind: str, rank: int) -> None:
+    if kind not in _GP_MIN_RANK:
+        raise UsageError(f"block representatives exist for kinds A, B, D, not {kind}")
+    if rank < _GP_MIN_RANK[kind]:
+        raise UsageError(f"kind {kind} needs rank >= {_GP_MIN_RANK[kind]}")
 
 
 class GPDatum(namedtuple("GPDatum", "kind rank parts signs delta", defaults=("one",))):
@@ -200,11 +209,7 @@ class GPDatum(namedtuple("GPDatum", "kind rank parts signs delta", defaults=("on
 
     def __new__(cls, kind: str, rank: int, parts: Tuple[int, ...], signs: Tuple[int, ...],
                 delta: str = "one"):
-        if kind not in ("A", "B", "D"):
-            raise UsageError(f"block representatives exist for kinds A, B, D, not {kind}")
-        min_rank = {"A": 2, "B": 2, "D": 4}[kind]
-        if rank < min_rank:
-            raise UsageError(f"kind {kind} needs rank >= {min_rank}")
+        _check_gp_rank(kind, rank)
         body = rank if kind in ("A", "B") else rank - 1
         if not parts or any(p < 1 for p in parts):
             raise UsageError("parts must be a nonempty composition of positive integers")
@@ -304,13 +309,8 @@ def gp_enumerate(kind: str, rank: Optional[int]) -> List[GPDatum]:
     may be a combined name like "D4", as in `build_root_system`.
     """
     kind, rank = normalize_kind(kind, rank)
-    if kind not in ("A", "B", "D"):
-        raise UsageError(f"block representatives exist for kinds A, B, D, not {kind}")
+    _check_gp_rank(kind, rank)
     body = rank if kind in ("A", "B") else rank - 1
-    if body < 1 or (kind == "A" and rank < 2) or (kind == "B" and rank < 2) or (
-        kind == "D" and rank < 4
-    ):
-        raise UsageError(f"rank {rank} too small for kind {kind}")
     out: List[GPDatum] = []
     for parts in _compositions(body):
         k = len(parts)

@@ -55,12 +55,6 @@ __all__ = [
 MODES = ("full_D", "chamber_C")
 
 
-def _check_q(q: int) -> int:
-    if not isinstance(q, int) or q < 2:
-        raise UsageError(f"q must be an integer >= 2, got {q!r}")
-    return q
-
-
 def _standard_twin(w: WeylElem) -> WeylElem:
     """The same element in the standard profile.
 
@@ -84,9 +78,11 @@ def build_criterion_system(w: WeylElem, q: int, mode: str = "full_D") -> StrictS
     ``crit:`` form per standard simple root with coefficients
     q*alpha - w^{-1}(alpha).  Forms are built from the doubled integer
     roots over the denominator 2; their Fractions and labels are made only
-    when read.
+    when read.  Every criterion call has q (an int >= 2) and the mode
+    checked here.
     """
-    _check_q(q)
+    if type(q) is not int or q < 2:
+        raise UsageError(f"q must be an integer >= 2, got {q!r}")
     if mode not in MODES:
         raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     wb = _standard_twin(w)
@@ -240,9 +236,8 @@ def gp_witness(datum: GPDatum, q: int) -> Vector:
     The same point works for every q >= 2; it is validated against the
     chamber_C system of gp_element(datum) before being returned.
     """
-    _check_q(q)
-    xs = _recipe_witness(datum)
     system = build_criterion_system(gp_element(datum), q, "chamber_C")
+    xs = _recipe_witness(datum)
     if not verify_witness(system, xs):
         raise AssertionError(f"recipe witness failed for {datum} at q={q}")
     return xs
@@ -260,9 +255,6 @@ def scan_gp(kind: str, rank: Optional[int], q: int, mode: str = "chamber_C") -> 
     Each entry carries the recipe witness, integerized and checked exactly
     against the entry's own (q, mode) system; a failed check raises.
     """
-    _check_q(q)
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     data = gp_enumerate(kind, rank)
     entries: List[GPScanEntry] = []
     for datum in data:

@@ -28,9 +28,9 @@ of V_{k-1}; the lifted rows already have distinct pivots, so they extend
 the state of V_{k-1} to that of V_k without any reduction, and each
 flag is produced exactly once.  Every node hands its subtree whatever
 state the counter carries, so no leaf reduces its whole flag again.
-All walks are cap-guarded before they start and raise CapacityError
-naming the predicted count; the tally checks the cap on the complete
-flags even though its walk stops one level short of them.  The
+Walks take no cap: callers check the cap before they walk and raise
+CapacityError naming the predicted count; the tally checks it on the
+complete flags, although its walk stops one level short of them.  The
 flag-at-a-time oracles (``rref``, ``enumerate_flags``,
 ``relative_position``, ``semistable``) live in the test suite.
 
@@ -113,9 +113,9 @@ def _is_prime(p: int) -> bool:
 
 
 def prime_power(q: int) -> Tuple[int, int]:
-    """Decompose q = p^m with p prime, or raise UsageError."""
-    if q < 2:
-        raise UsageError(f"q must be a prime power >= 2, got {q}")
+    """Decompose an int q = p^m with p prime, or raise UsageError."""
+    if type(q) is not int or q < 2:
+        raise UsageError(f"q must be a prime power >= 2, got {q!r}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise UsageError(f"{q} is not a prime power")
@@ -364,10 +364,11 @@ def field_build(p: int, k: int) -> Field:
 
 
 def build_extension(q: int, e: int) -> Field:
-    """GF(q^e) for a prime power q."""
+    """GF(q^e) for a prime power q and an int e >= 1: the one check of the
+    cell (q, e) for every count."""
     p, m = prime_power(q)
-    if e < 1:
-        raise UsageError(f"extension degree must be >= 1, got {e}")
+    if type(e) is not int or e < 1:
+        raise UsageError(f"extension degree must be an integer >= 1, got {e!r}")
     return field_build(p, m * e)
 
 
@@ -497,15 +498,14 @@ def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
         )
 
 
-def _walk(fld: Field, n: int, dims: Tuple[int, ...], cap: int, enter, root) -> Iterator:
-    """Depth first over every flag of type dims (cap-checked first).
+def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:
+    """Depth first over every flag of type dims; callers check the cap.
 
     At depth k the node's new rows, lifted through the non-pivot
     coordinates of V_{k-1}, extend its state to that of V_{dims[k]};
     ``enter(k, rows, state, ctx)`` turns the parent's context into the
     node's, which its whole subtree shares.  Yields the leaves' contexts.
     """
-    _check_cap(fld, n, dims, cap)
     if not dims:
         yield root
         return
@@ -539,7 +539,7 @@ def perm_from_word(n: int, word: Union[str, Sequence[Union[int, str]]]) -> Tuple
     toks = word.split() if isinstance(word, str) else list(word)
     idx: List[int] = []
     for t in toks:
-        if isinstance(t, int):
+        if type(t) is int:
             v = t
         else:
             tt = str(t)
@@ -572,8 +572,8 @@ def coxeter_perm(n: int) -> Tuple[int, ...]:
 def _normalize_perm(n: int, w: Union[str, Sequence[int]]) -> Tuple[int, ...]:
     if isinstance(w, str):
         return perm_from_word(n, w)
-    out = tuple(int(x) for x in w)
-    if sorted(out) != list(range(n)):
+    out = tuple(w)
+    if not all(type(x) is int for x in out) or sorted(out) != list(range(n)):
         raise UsageError(f"{w!r} is not a 0-based permutation of range({n})")
     return out
 
@@ -613,13 +613,11 @@ def _perm_from_ranks(rank: Sequence[Sequence[int]], n: int) -> Tuple[int, ...]:
 # point counts
 
 
-def _tally_key(n: int, q: int, e: int) -> Tuple[int, int, int]:
-    if n < 2:
-        raise UsageError(f"ambient dimension must be >= 2, got {n}")
-    prime_power(q)
-    if e < 1:
-        raise UsageError(f"e must be >= 1, got {e}")
-    return n, q, e
+def _cell(n: int, q: int, e: int) -> Field:
+    """GF(q^e) for a count on an n-space, n an int >= 2."""
+    if type(n) is not int or n < 2:
+        raise UsageError(f"ambient dimension must be an integer >= 2, got {n!r}")
+    return build_extension(q, e)
 
 
 @lru_cache(maxsize=16)
@@ -665,9 +663,7 @@ def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int
     # entries) counts the nodes by those, and each distinct one is read once.
     m = n - 2
     nodes: Counter = Counter()
-    # the caller checked the cap on the complete flags; the walk visits fewer
-    walk_cap = flag_count(n, dims, size)
-    for sums, images in _walk(fld, n, dims[:-1], walk_cap, enter, ([], ())):
+    for sums, images in _walk(fld, n, dims[:-1], enter, ([], ())):
         a0, b0 = [rank[i][m] for i in range(1, n - 1)].count(m), rank[m][1:n - 1].count(m)
         same = a0 < m and len(extend(sums[a0], [frob[x] for x in images[b0]])) < n
         nodes[tuple(tuple(r[:n - 1]) for r in rank[1:n - 1]), same] += 1
@@ -701,8 +697,7 @@ def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> Dict[
     Keys are 0-based one-line permutations; values sum to the number of
     complete flags over GF(q^e).  The cap is checked before the cached
     call, so the cache holds one entry per (n, q, e) whatever the cap."""
-    n, q, e = _tally_key(n, q, e)
-    _check_cap(build_extension(q, e), n, complete_dims(n), cap)
+    _check_cap(_cell(n, q, e), n, complete_dims(n), cap)
     return dict(_dl_tally_cached(n, q, e))
 
 
@@ -710,7 +705,7 @@ def dl_point_count(
     n: int, q: int, e: int, w: Union[str, Sequence[int]], cap: int = DEFAULT_ENUM_CAP
 ) -> int:
     """Number of complete flags at relative position w from their image."""
-    n, q, e = _tally_key(n, q, e)
+    _cell(n, q, e)
     perm = _normalize_perm(n, w)
     return dl_point_tally(n, q, e, cap).get(perm, 0)
 
@@ -720,8 +715,7 @@ def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> in
 
     Written directly against normalized coordinate vectors — independent
     of the flag machinery above."""
-    n, q, e = _tally_key(n, q, e)
-    fld = build_extension(q, e)
+    fld = _cell(n, q, e)
     size = fld.size
     npoints = (size**n - 1) // (size - 1)
     if npoints > cap:
@@ -787,18 +781,22 @@ class Cochar(namedtuple("Cochar", "nu")):
 
 
 def cochar(*vectors) -> Cochar:
-    """Cochar from vectors: cochar((1,0,0)) or cochar((1,0),(2,2))."""
-    if len(vectors) == 1 and vectors[0] and isinstance(vectors[0][0], (tuple, list)):
-        vectors = tuple(vectors[0])
+    """Cochar from one vector, one sequence of vectors, or several vectors:
+    cochar((1,0,0)), cochar([(1,0),(2,2)]) or cochar((1,0),(2,2)).  A
+    Cochar is returned as it is."""
+    if len(vectors) == 1:
+        if isinstance(vectors[0], Cochar):
+            return vectors[0]
+        one = tuple(vectors[0])
+        vectors = one if one and isinstance(one[0], (tuple, list)) else (one,)
     return Cochar(nu=tuple(tuple(v) for v in vectors))
 
 
 def _single_nu(nu) -> Tuple[int, ...]:
-    if isinstance(nu, Cochar):
-        if nu.t != 1:
-            raise UsageError("this operation takes a single-factor cocharacter")
-        return nu.nu[0]
-    return cochar(tuple(nu)).nu[0]
+    cc = cochar(nu)
+    if cc.t != 1:
+        raise UsageError("this operation takes a single-factor cocharacter")
+    return cc.nu[0]
 
 
 def nu_jump_dims(nu: Sequence[int]) -> Tuple[int, ...]:
@@ -830,9 +828,6 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     r >= 2.  Both caps are checked first, although no flag is visited.
     """
     vnu = _single_nu(nu)
-    prime_power(q)
-    if e < 1:
-        raise UsageError(f"e must be >= 1, got {e}")
     fld = build_extension(q, e)
     n = len(vnu)
     dims = nu_jump_dims(vnu)

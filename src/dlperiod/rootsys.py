@@ -366,9 +366,11 @@ def build_root_system(kind: str, rank: int | None = None, profile: str = "bourba
 
 
 def _check_nodes(rs: RootSystem, nodes) -> Tuple[int, ...]:
-    if isinstance(nodes, int):
-        nodes = (nodes,)
-    out = sorted(set(int(i) for i in nodes))
+    nodes = tuple(nodes) if isinstance(nodes, Iterable) else (nodes,)
+    for i in nodes:
+        if type(i) is not int:
+            raise UsageError(f"node {i!r} is not an integer")
+    out = sorted(set(nodes))
     for i in out:
         if not 1 <= i <= rs.rank:
             raise UsageError(f"node {i} out of range 1..{rs.rank}")

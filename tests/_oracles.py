@@ -21,6 +21,7 @@ from itertools import combinations
 from dlperiod import UsageError
 from dlperiod.gfflag import (
     DEFAULT_ENUM_CAP,
+    _check_cap,
     _check_subspace_cap,
     _echelon_bases,
     _extender,
@@ -245,15 +246,16 @@ def _check_dims(n, dims):
 
 
 def enumerate_flags(fld, n, dims, cap=DEFAULT_ENUM_CAP):
-    """Every flag of the given type exactly once (cap-guarded)."""
+    """Every flag of the given type exactly once (cap-checked first)."""
     dims_t = _check_dims(n, dims)
+    _check_cap(fld, n, dims_t, cap)
 
     def enter(depth, rows, state, steps):
         return steps + (_reduced(fld, state),)
 
     return [
         Flag(field=fld, n=n, dims=dims_t, steps=steps)
-        for steps in _walk(fld, n, dims_t, cap, enter, ())
+        for steps in _walk(fld, n, dims_t, enter, ())
     ]
 
 

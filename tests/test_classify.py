@@ -11,7 +11,7 @@ from dlperiod.classify import (
     res_coxeter_check,
     theorem_verdict,
 )
-from dlperiod.gfflag import dl_point_count, perm_from_word, period_point_count
+from dlperiod.gfflag import cochar, dl_point_count, perm_from_word, period_point_count
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import from_word, identity_elem
 
@@ -37,6 +37,8 @@ def test_pd_dimension():
     two = GroupSpec(3, t=2)
     assert pd_dimension(two, ((1, 0, 0), (1, 1, 1))) == 2
     assert pd_dimension(two, ((1, 0, 0), (1, 1, 0))) == 4
+    assert pd_dimension(two, cochar((1, 0, 0), (1, 1, 0))) == 4
+    assert pd_dimension(two, [[1, 0, 0], [1, 1, 0]]) == 4
 
 
 def test_res_coxeter_check():

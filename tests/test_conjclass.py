@@ -264,13 +264,19 @@ def test_gp_enumerate_counts_and_order():
         gp_enumerate("D", 3)
 
 
-def test_gp_kind_and_rank_messages():
+def test_gp_input_messages():
     cases = [
         (lambda: gp_enumerate("G", 2), "block representatives exist for kinds A, B, D, not G"),
         (lambda: GPDatum("C", 3, (3,), (1,)), "block representatives exist for kinds A, B, D, not C"),
-        (lambda: gp_enumerate("D", 3), "rank 3 too small for kind D"),
-        (lambda: gp_enumerate("A", 1), "rank 1 too small for kind A"),
+        (lambda: gp_enumerate("D", 3), "kind D needs rank >= 4"),
+        (lambda: gp_enumerate("A", 1), "kind A needs rank >= 2"),
         (lambda: GPDatum("D", 3, (2,), (1,)), "kind D needs rank >= 4"),
+        (lambda: gp_enumerate("D4", 5), "kind 'D4' contradicts rank=5"),
+        (lambda: GPDatum("A", 2, (), ()), "parts must be a nonempty composition of positive integers"),
+        (
+            lambda: cyclic_shift_step(gp_element(gp_enumerate("A", 2)[0]), 2),
+            "generator position 2 out of range for A1[paper5]",
+        ),
     ]
     for call, msg in cases:
         with pytest.raises(UsageError) as err:

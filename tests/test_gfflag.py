@@ -179,14 +179,37 @@ def test_perm_from_word_takes_digit_tokens():
 
 # every error path of the cell (n, q, e), cocharacter and permutation rules
 INPUT_RULE_MESSAGES = {
-    "n": (lambda: dl_point_tally(1, 2, 1), "ambient dimension must be >= 2, got 1"),
-    "omega_e": (lambda: omega_point_count(3, 2, 0), "e must be >= 1, got 0"),
-    "period_e": (lambda: period_point_count((1, 0), 2, 0), "e must be >= 1, got 0"),
-    "extension_e": (lambda: build_extension(2, 0), "extension degree must be >= 1, got 0"),
+    "n": (lambda: dl_point_tally(1, 2, 1), "ambient dimension must be an integer >= 2, got 1"),
+    "float_n": (
+        lambda: omega_point_count(3.0, 2, 1), "ambient dimension must be an integer >= 2, got 3.0"
+    ),
+    "omega_e": (
+        lambda: omega_point_count(3, 2, 0), "extension degree must be an integer >= 1, got 0"
+    ),
+    "bool_e": (
+        lambda: omega_point_count(3, 2, True), "extension degree must be an integer >= 1, got True"
+    ),
+    "float_e": (
+        lambda: omega_point_count(3, 2, 1.5), "extension degree must be an integer >= 1, got 1.5"
+    ),
+    "period_e": (
+        lambda: period_point_count((1, 0), 2, 0), "extension degree must be an integer >= 1, got 0"
+    ),
+    "extension_e": (
+        lambda: build_extension(2, 0), "extension degree must be an integer >= 1, got 0"
+    ),
+    "float_q": (
+        lambda: period_point_count((1, 0, 0), 2.0, 1), "q must be a prime power >= 2, got 2.0"
+    ),
+    "bool_q": (lambda: dl_point_tally(3, True, 1), "q must be a prime power >= 2, got True"),
     "field_p": (lambda: field_build(4, 1), "field characteristic must be prime, got 4"),
     "field_k": (lambda: field_build(2, 0), "field degree must be >= 1, got 0"),
     "two_factor_cochar": (
         lambda: period_point_count(cochar((1, 0), (0, 0)), 2, 2),
+        "this operation takes a single-factor cocharacter",
+    ),
+    "two_factor_tuple": (
+        lambda: period_point_count(((1, 0), (0, 0)), 2, 2),
         "this operation takes a single-factor cocharacter",
     ),
     "nested_vectors": (lambda: cochar([[(1, 0)]]), "cocharacter entries must be integers"),
@@ -194,7 +217,16 @@ INPUT_RULE_MESSAGES = {
         lambda: dl_point_count(3, 2, 2, (0, 0, 1)),
         "(0, 0, 1) is not a 0-based permutation of range(3)",
     ),
+    "float_permutation": (
+        lambda: dl_point_count(3, 2, 2, (1.0, 0.5, 2)),
+        "(1.0, 0.5, 2) is not a 0-based permutation of range(3)",
+    ),
+    "bool_permutation": (
+        lambda: dl_point_count(3, 2, 2, (True, False, 2)),
+        "(True, False, 2) is not a 0-based permutation of range(3)",
+    ),
     "unknown_token": (lambda: perm_from_word(3, "s1 x2"), "unknown permutation token 'x2'"),
+    "bool_token": (lambda: perm_from_word(3, [True]), "unknown permutation token True"),
 }
 
 
@@ -286,6 +318,14 @@ def test_cochar_and_jumps():
         cochar((0, 1))  # must be weakly decreasing
     with pytest.raises(UsageError):
         cochar(())
+
+
+def test_cochar_forms():
+    c = cochar((1, 0), (2, 2))
+    assert cochar(c) is c
+    assert cochar([(1, 0), (2, 2)]) == cochar(((1, 0), (2, 2))) == c
+    assert cochar([1, 0, 0]) == cochar((1, 0, 0))
+    assert period_point_count(cochar((1, 0, 0)), 2, 3) == period_point_count((1, 0, 0), 2, 3)
 
 
 def test_cochar_messages():
@@ -643,3 +683,19 @@ def test_omega_count_matches_moebius_closed_form(n, q, e):
 def test_tally_over_the_base_field_is_all_identity(n, q):
     # over GF(q) every flag is rational, and no zero count is kept
     assert dl_point_tally(n, q, 1) == {tuple(range(n)): flag_count(n, complete_dims(n), q)}
+
+
+@pytest.mark.parametrize("q, e", [(257, 1), (17, 2)], ids=["prime_above_256", "two_chunks"])
+def test_tally_through_the_general_add_step(q, e):
+    # GF(257) adds mod p and GF(17^2) in two table chunks, so the echelon
+    # step subtracts through Field.add rather than one add table
+    assert build_extension(q, e)._sums is None
+    size = q**e
+    total = flag_count(3, complete_dims(3), size)
+    tally = dl_point_tally(3, q, e, cap=total)
+    assert sum(tally.values()) == total
+    assert tally[(0, 1, 2)] == (q * q + q + 1) * (q + 1)  # the rational flags
+    for s in ((1, 0, 2), (0, 2, 1)):
+        assert tally.get(s, 0) == (q * q + q + 1) * (size - q)
+    for coxeter in ((1, 2, 0), (2, 0, 1)):  # Moebius Omega is 0 for e < n
+        assert coxeter not in tally

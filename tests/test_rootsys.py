@@ -142,6 +142,17 @@ def test_parabolic_dim_multinode_and_errors():
         parabolic_dim(rs, (4,))
     with pytest.raises(UsageError):
         parabolic_dim(build_root_system("B", 2, "paper5"), 1)
+    with pytest.raises(UsageError, match="expects the standard"):
+        rank_vs_dim_table(build_root_system("B", 2, "paper5"))
+
+
+@pytest.mark.parametrize("node", [1.7, True, "2"], ids=["float", "bool", "str"])
+def test_parabolic_nodes_are_not_truncated(node):
+    rs = build_root_system("A", 3)
+    with pytest.raises(UsageError, match=f"node {node!r} is not an integer"):
+        parabolic_dim(rs, [node])
+    with pytest.raises(UsageError, match=f"node {node!r} is not an integer"):
+        parabolic_dim(rs, node)
 
 
 def test_rank_ranges_and_kind_normalization():
