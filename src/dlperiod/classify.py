@@ -55,9 +55,9 @@ class GroupSpec(namedtuple("GroupSpec", "n t", defaults=(1,))):
     __slots__ = ()
 
     def __new__(cls, n: int, t: int = 1):
-        if n < 2:
+        if type(n) is not int or n < 2:
             raise UsageError(f"factor degree must be >= 2, got {n}")
-        if t < 1:
+        if type(t) is not int or t < 1:
             raise UsageError(f"factor count must be >= 1, got {t}")
         return super().__new__(cls, n, t)
 
@@ -219,7 +219,10 @@ def classification_scan(
     than `gfflag.DEFAULT_ENUM_CAP` records.
     """
     prime_power(q)
-    if n_max < 2 or t_max < 1 or nu_bound < 0:
+    if (
+        any(type(x) is not int for x in (n_max, t_max, nu_bound))
+        or n_max < 2 or t_max < 1 or nu_bound < 0
+    ):
         raise UsageError(
             f"need n_max >= 2, t_max >= 1, nu_bound >= 0; "
             f"got ({n_max}, {t_max}, {nu_bound})"

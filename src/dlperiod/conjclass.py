@@ -4,8 +4,9 @@ Shift steps are the moves `w -> s * w * F(s)` for a generator `s` and an
 automorphism `F` of the generator set (default: identity).  Downward
 closures of such moves (never increasing `coxeter_length`) reach a
 minimal-length member of the twisted class; the BFS here records a
-replayable chain of steps.  The walks compose root permutations directly
-and visit only the class (or its downward closure), never the whole group.
+replayable chain of steps.  The walks compose root permutations directly,
+the right factor by the per-system getters of :mod:`dlperiod.weyl`, and
+visit only the class (or its downward closure), never the whole group.
 All four walks raise CapacityError when the group's order exceeds `cap`
 and UsageError when the element is not in the group.
 
@@ -26,6 +27,7 @@ from .rootsys import RootSystem, build_root_system, normalize_kind
 from .weyl import (
     DEFAULT_GROUP_CAP,
     WeylElem,
+    _getters,
     checked_order,
     compose,
     coxeter_length,
@@ -87,8 +89,8 @@ def cyclic_shift_step(w: WeylElem, gen: int, F: GenMap = None) -> WeylElem:
     gens = w.rs.gen_perms
     if not 0 <= gen < len(gens):
         raise UsageError(f"generator position {gen} out of range for {w.rs}")
-    fs = gens[gen if fperm is None else fperm[gen]]
-    return WeylElem(w.rs, compose(gens[gen], compose(w.perm, fs)))
+    fs = _getters(w.rs).right[gen if fperm is None else fperm[gen]]
+    return WeylElem(w.rs, compose(gens[gen], fs(w.perm)))
 
 
 def _class_walk(
@@ -106,25 +108,24 @@ def _class_walk(
     rs = w.rs
     fperm = _normalize_f(rs, F)
     checked_order(rs, cap)
-    gens = rs.gen_perms
-    # move g sends x to s_g x F(s_g): root i to s(x(fs[i])).  An element is
-    # determined by the images of the simple roots, so visited elements are
-    # keyed by those; only new ones are composed in full.
-    moves = [
-        (s.__getitem__, fs, tuple(fs[b] for b in rs.base_idx))
-        for s, fs in zip(gens, gens if fperm is None else [gens[f] for f in fperm])
-    ]
-    seen = {tuple(map(w.perm.__getitem__, rs.base_idx))}
+    get = _getters(rs)
+    # move g sends x to s_g x F(s_g): the getters of F(s_g) give x F(s_g)
+    # and its simple-root images, and the left factor s_g maps them.  An
+    # element is determined by the images of the simple roots, so visited
+    # elements are keyed by those; only new ones are composed in full.
+    f = range(len(rs.gen_perms)) if fperm is None else fperm
+    moves = [(s.__getitem__, get.right[h], get.key[h]) for s, h in zip(rs.gen_perms, f)]
+    seen = {get.simple(w.perm)}
     elems = [w]
     lengths = [coxeter_length(w)]
     parents: List[Tuple[int, int]] = [(0, 0)]  # the start has none
     for i, x in enumerate(elems):  # grows while it is read: a breadth-first queue
-        at = x.perm.__getitem__
-        for g, (s, fs, fkey) in enumerate(moves):
-            key = tuple(map(s, map(at, fkey)))
+        p = x.perm
+        for g, (s, right, fkey) in enumerate(moves):
+            key = tuple(map(s, fkey(p)))
             if key in seen:
                 continue
-            y = WeylElem(rs, tuple(map(s, map(at, fs))))
+            y = WeylElem(rs, tuple(map(s, right(p))))
             ly = coxeter_length(y)
             if monotone and ly > lengths[i]:
                 continue

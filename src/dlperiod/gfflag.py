@@ -351,13 +351,13 @@ def _frob_table(fld: Field, q: int) -> Tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find GF(3) or k = 1
 def field_build(p: int, k: int) -> Field:
-    """The canonical GF(p^k); capped at p^k <= 2^16."""
-    if not _is_prime(p):
-        raise UsageError(f"field characteristic must be prime, got {p}")
-    if k < 1:
-        raise UsageError(f"field degree must be >= 1, got {k}")
+    """The canonical GF(p^k) for ints p, k; capped at p^k <= 2^16."""
+    if type(p) is not int or not _is_prime(p):
+        raise UsageError(f"field characteristic must be prime, got {p!r}")
+    if type(k) is not int or k < 1:
+        raise UsageError(f"field degree must be >= 1, got {k!r}")
     if p**k > FIELD_CAP:
         raise CapacityError(f"field size {p}^{k} = {p**k} exceeds cap {FIELD_CAP}")
     return Field(p, k)
@@ -787,9 +787,16 @@ def cochar(*vectors) -> Cochar:
     if len(vectors) == 1:
         if isinstance(vectors[0], Cochar):
             return vectors[0]
-        one = tuple(vectors[0])
+        one = _vector(vectors[0])
         vectors = one if one and isinstance(one[0], (tuple, list)) else (one,)
-    return Cochar(nu=tuple(tuple(v) for v in vectors))
+    return Cochar(nu=tuple(map(_vector, vectors)))
+
+
+def _vector(v) -> tuple:
+    try:
+        return tuple(v)
+    except TypeError:
+        raise UsageError(f"a cocharacter vector must be a sequence, got {v!r}") from None
 
 
 def _single_nu(nu) -> Tuple[int, ...]:

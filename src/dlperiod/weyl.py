@@ -4,7 +4,11 @@ functions.
 An element is the permutation it induces on the roots of its root system,
 numbered as in :mod:`dlperiod.rootsys` (positive roots first, then their
 negatives): `perm[i]` is the index of w(root i).  Products compose these
-tuples, and lengths, descents and reduced words are read off them.  The
+tuples, and lengths, descents and reduced words are read off them.  Every
+product p * s_g by a generator, and every read of fixed root indices (the
+simple-root images that key a visited element, the Coxeter-positive roots a
+length counts), is one `operator.itemgetter` call made once per root system
+(`_getters`), so the loop over the roots runs in C.  The
 exact ambient matrix (`WeylElem.matrix`) and the least reduced word
 (`WeylElem.word`) are derived from the permutation on each read; the
 matrix sends each standard simple root to its image and fixes the
@@ -32,10 +36,12 @@ of the standard system but a simple one of its own.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from . import CapacityError, UsageError
 from .rootsys import RootSystem, Vector, build_root_system, weyl_order
@@ -74,6 +80,36 @@ DEFAULT_GROUP_CAP = 1_000_000
 def compose(a: Perm, b: Perm) -> Perm:
     """The permutation of a * b: b acts first."""
     return tuple(map(a.__getitem__, b))
+
+
+def _getter(indices: Sequence[int]) -> Callable[[Perm], Perm]:
+    """p -> tuple(p[i] for i in indices), in C.  itemgetter of one index
+    returns the item itself, so rank 1 (one simple root, one positive root)
+    gets a 1-tuple by hand."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda p: (p[i],)
+    return itemgetter(*indices)
+
+
+# Per-system getters on a root permutation p: right[g](p) = p * s_g;
+# key[g](p) = the simple-root images of p * s_g; simple(p) = those of p;
+# positive(p) = the images of the Coxeter-positive roots, and negative is
+# the set of Coxeter-negative roots, so a length is the size of the
+# intersection (the images are distinct).
+_Getters = namedtuple("_Getters", "right key simple positive negative")
+
+
+@lru_cache(maxsize=None)
+def _getters(rs: RootSystem) -> _Getters:
+    base = rs.base_idx
+    return _Getters(
+        right=tuple(_getter(gp) for gp in rs.gen_perms),
+        key=tuple(_getter([gp[c] for c in base]) for gp in rs.gen_perms),
+        simple=_getter(base),
+        positive=_getter([i for i, up in enumerate(rs.cox_positive) if up]),
+        negative=frozenset(i for i, up in enumerate(rs.cox_positive) if not up),
+    )
 
 
 def _invert(p: Perm) -> Perm:
@@ -274,9 +310,10 @@ def from_word(rs: RootSystem, word: WordLike) -> WeylElem:
     The element is the left-to-right product of the generators, so for
     w = from_word(rs, "t s1") the action on a vector x is t(s1(x)).
     """
+    right = _getters(rs).right
     p = tuple(range(len(rs.doubled)))
     for g in parse_word(rs, word):
-        p = compose(p, rs.gen_perms[g])
+        p = right[g](p)
     return WeylElem(rs, p)
 
 
@@ -308,15 +345,15 @@ def coxeter_length(w: WeylElem) -> int:
     Counted as inversions against `coxeter_positive_roots`; equals the
     minimum number of generators whose product is w.
     """
-    pos = w.rs.cox_positive
-    return sum(1 for i, j in enumerate(w.perm) if pos[i] and not pos[j])
+    get = _getters(w.rs)
+    return len(get.negative.intersection(get.positive(w.perm)))
 
 
 def _left_descents(rs: RootSystem, inv: Perm) -> List[int]:
     """Generators g with l(s_g w) < l(w), given w^-1: those whose simple root
     w^-1 sends to a negative root."""
     pos = rs.cox_positive
-    return [g for g, b in enumerate(rs.base_idx) if not pos[inv[b]]]
+    return [g for g, j in enumerate(_getters(rs).simple(inv)) if not pos[j]]
 
 
 def descents(w: WeylElem) -> Tuple[int, ...]:
@@ -333,6 +370,7 @@ def reduced_word(w: WeylElem) -> Word:
     permutation raises UsageError.
     """
     rs = w.rs
+    right = _getters(rs).right
     inv = _invert(w.perm)
     out: List[int] = []
     for _ in range(len(rs.positive_roots) + 1):
@@ -343,7 +381,7 @@ def reduced_word(w: WeylElem) -> Word:
             break
         g = found[0]
         out.append(g)
-        inv = compose(inv, rs.gen_perms[g])  # (s_g w)^-1 = w^-1 s_g
+        inv = right[g](inv)  # (s_g w)^-1 = w^-1 s_g
     raise UsageError(f"root permutation does not belong to the group of {rs}")
 
 
@@ -379,19 +417,19 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylEl
     order = checked_order(rs, cap)
     # An element is determined by the images of the simple roots, so visited
     # elements are keyed by those; only new ones are composed in full.
-    base = rs.base_idx
+    get = _getters(rs)
     pos = rs.cox_positive
-    gens = [(b, gp, tuple(gp[c] for c in base)) for b, gp in zip(base, rs.gen_perms)]
-    seen = {base}
+    gens = list(zip(rs.base_idx, get.right, get.key))
+    seen = {rs.base_idx}
     perms: List[Perm] = [tuple(range(len(rs.doubled)))]
     for p in perms:  # grows while it is read: a breadth-first queue
-        for b, gp, gk in gens:
+        for b, right, key in gens:
             if not pos[p[b]]:
                 continue  # p s_g is shorter than p, so it was found a level earlier
-            key = tuple(map(p.__getitem__, gk))
-            if key not in seen:
-                seen.add(key)
-                perms.append(compose(p, gp))
+            k = key(p)
+            if k not in seen:
+                seen.add(k)
+                perms.append(right(p))
     if len(perms) != order:
         raise AssertionError(
             f"enumerated {len(perms)} elements of {rs}, expected {order}"

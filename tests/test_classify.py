@@ -74,6 +74,22 @@ def test_input_messages():
             lambda: classification_scan(1, 1, 2, 1),
             "need n_max >= 2, t_max >= 1, nu_bound >= 0; got (1, 1, 1)",
         ),
+        # a bool or a float is no count, even where it compares like one
+        (lambda: GroupSpec(2, t=True), "factor count must be >= 1, got True"),
+        (lambda: GroupSpec(2.0), "factor degree must be >= 2, got 2.0"),
+        (lambda: GroupSpec(True), "factor degree must be >= 2, got True"),
+        (
+            lambda: classification_scan(2, True, 2, 1),
+            "need n_max >= 2, t_max >= 1, nu_bound >= 0; got (2, True, 1)",
+        ),
+        (
+            lambda: classification_scan(2.0, 1, 2, 1),
+            "need n_max >= 2, t_max >= 1, nu_bound >= 0; got (2.0, 1, 1)",
+        ),
+        (
+            lambda: classification_scan(2, 1, 2, 1.0),
+            "need n_max >= 2, t_max >= 1, nu_bound >= 0; got (2, 1, 1.0)",
+        ),
     ]
     for call, msg in cases:
         with pytest.raises(UsageError) as err:

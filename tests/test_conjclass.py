@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -162,6 +163,36 @@ def test_class_walks_reject_elements_outside_the_group():
     for walk in (reduce_to_minimal, shift_closure, twisted_class, min_length_bruteforce):
         with pytest.raises(UsageError, match="does not belong"):
             walk(w)
+
+
+# sha256 of repr() of, for each element w of the group in enumeration order,
+# the perms of twisted_class(w, F), of shift_closure(w, F) and (gen, source,
+# target) of each step of reduce_to_minimal(w, F): the discovery order of
+# every walk, and so the chains and terminals, must not move
+WALK_DIGESTS = {
+    ("A", 1, "bourbaki", None): "18f18d84bc9385463fad0bc6d33b299f5eb0de54a47dac62014219eb6d31ef6a",
+    ("G", 2, "bourbaki", None): "bec0f5adb12af1eda8de9a50ba1d4343cef7171a090e30819072229799d9c209",
+    ("B", 3, "paper5", None): "9a862eb175082613e4b0d63b899de342ff164465e213de942cd5a57ce68b8499",
+    ("D", 4, "paper5", None): "3b03a04682a49ef5754a09821c7ab3680385656d3408036d66f9a44951070963",
+    ("A", 3, "bourbaki", ((1, 3), (3, 1))): "213651b514c445bbf35efefa187d5d8584817aaa34c6801efaecae6aebed69c2",
+}
+
+
+@pytest.mark.parametrize(
+    "spec", WALK_DIGESTS, ids=[f"{k}{r}-{p}-{'F' if f else 'id'}" for k, r, p, f in WALK_DIGESTS]
+)
+def test_class_walk_order_frozen(spec):
+    kind, rank, profile, twist = spec
+    F = None if twist is None else dict(twist)
+    out = []
+    for w in enumerate_group(build_root_system(kind, rank, profile)):
+        chain = reduce_to_minimal(w, F)
+        out.append((
+            [x.perm for x in twisted_class(w, F)],
+            [x.perm for x in shift_closure(w, F)],
+            [(s.gen, s.source.perm, s.target.perm) for s in chain.steps],
+        ))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == WALK_DIGESTS[spec]
 
 
 # --- distinguished representatives -----------------------------------------

@@ -204,6 +204,12 @@ INPUT_RULE_MESSAGES = {
     "bool_q": (lambda: dl_point_tally(3, True, 1), "q must be a prime power >= 2, got True"),
     "field_p": (lambda: field_build(4, 1), "field characteristic must be prime, got 4"),
     "field_k": (lambda: field_build(2, 0), "field degree must be >= 1, got 0"),
+    "float_field_p": (lambda: field_build(3.0, 1), "field characteristic must be prime, got 3.0"),
+    "bool_field_k": (lambda: field_build(3, True), "field degree must be >= 1, got True"),
+    "scalar_vector": (lambda: cochar(5), "a cocharacter vector must be a sequence, got 5"),
+    "scalar_second_vector": (
+        lambda: cochar((1, 0), 5), "a cocharacter vector must be a sequence, got 5"
+    ),
     "two_factor_cochar": (
         lambda: period_point_count(cochar((1, 0), (0, 0)), 2, 2),
         "this operation takes a single-factor cocharacter",
@@ -304,6 +310,15 @@ def test_omega_counts():
     assert omega_point_count(2, 5, 1) == 0
     # projective line: all points minus the rational ones
     assert omega_point_count(2, 3, 2) == (9 ** 2 - 1) // (9 - 1) - 4
+
+
+def test_field_build_answer_does_not_depend_on_its_cache():
+    # an untyped cache would answer 3.0 and True from the GF(3) entry
+    assert field_build(3, 1) is field_build(3, 1)
+    for p, k in [(3.0, 1), (3, True), (True, 1)]:
+        with pytest.raises(UsageError):
+            field_build(p, k)
+    assert field_build.cache_info().currsize >= 1
 
 
 def test_cochar_and_jumps():

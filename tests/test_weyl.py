@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import act, identity, is_reflection_matrix, matmul, reflect
 from dlperiod import CapacityError, UsageError
+from dlperiod.conjclass import twisted_class
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
     WeylElem,
@@ -167,7 +168,8 @@ def test_word_is_the_least_reduced_word():
 
 
 def test_reduced_word_and_support():
-    for spec in [("B", 3, "paper5"), ("A", 3, "bourbaki"), ("D", 4, "paper5")]:
+    for spec in [("B", 3, "paper5"), ("A", 3, "bourbaki"), ("D", 4, "paper5"),
+                 ("A", 1, "bourbaki"), ("G", 2, "bourbaki")]:
         rs = build_root_system(*spec)
         for w in enumerate_group(rs):
             rw = reduced_word(w)
@@ -272,6 +274,17 @@ def test_enumeration_order_frozen(spec):
     assert digest == ENUMERATION_DIGESTS[spec]
     lengths = [coxeter_length(w) for w in elems]
     assert lengths == sorted(lengths)
+
+
+def test_rank_one():
+    rs = build_root_system("A", 1)
+    e, s = enumerate_group(rs)
+    assert e == identity_elem(rs) and s == from_word(rs, "s1") == from_word(rs, [1])
+    assert s.perm == (1, 0)
+    assert [coxeter_length(e), coxeter_length(s)] == [0, 1]
+    assert [reduced_word(e), reduced_word(s)] == [(), (0,)]
+    assert from_word(rs, "s1 s1") == e
+    assert twisted_class(s) == [s] and twisted_class(e) == [e]
 
 
 def test_signed_permutation_shape():
