@@ -18,6 +18,7 @@ commuting.  These are the reachability targets used by the scan drivers.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple, Union
@@ -70,6 +71,8 @@ def _normalize_f(rs: RootSystem, F: GenMap) -> Optional[Tuple[int, ...]]:
     """
     if F is None:
         return None
+    if not isinstance(F, Mapping):
+        raise UsageError(f"F must be a mapping of generators, got {F!r}")
     mapped = {_position_of(rs, k): _position_of(rs, v) for k, v in F.items()}
     perm = tuple(mapped.get(g, g) for g in range(len(rs.gen_names)))
     if sorted(perm) != list(range(len(perm))):
@@ -87,8 +90,8 @@ def cyclic_shift_step(w: WeylElem, gen: int, F: GenMap = None) -> WeylElem:
     """One twisted shift: s_gen * w * F(s_gen) (no length restriction)."""
     fperm = _normalize_f(w.rs, F)
     gens = w.rs.gen_perms
-    if not 0 <= gen < len(gens):
-        raise UsageError(f"generator position {gen} out of range for {w.rs}")
+    if type(gen) is not int or not 0 <= gen < len(gens):
+        raise UsageError(f"generator position {gen!r} out of range for {w.rs}")
     fs = _getters(w.rs).right[gen if fperm is None else fperm[gen]]
     return WeylElem(w.rs, compose(gens[gen], fs(w.perm)))
 

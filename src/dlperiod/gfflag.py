@@ -14,7 +14,9 @@ otherwise reads one digit-built table of at most 256 rows (over all digits
 up to 256 elements, else chunk by chunk; a larger prime field adds mod p),
 each row a block rotation of a row built from the digits below and held
 as `bytes` (entries are below 256), so the flag loops below stay
-integer-only and the garbage collector has no int tuples to scan.
+integer-only and the garbage collector has no int tuples to scan.  A field
+stores only exp, log and add: negation is a log shift by (Q - 1)/2, since
+-1 = g^((Q-1)/2) for odd p (and -a = a for p = 2).
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
@@ -262,29 +264,21 @@ class Field:
         # most 256 rows: over all digits up to 256 elements, else chunk by
         # chunk, in chunks as even as their number allows (GF(37^3): three
         # through 37 rows); FIELD_CAP leaves only prime fields with p > 256
-        self._sums: Optional[Tuple[bytes, ...]] = None
         if p == 2:
             self.add = xor
-            self.neg = lambda a: a
+        elif p > 256:
+            self.add = lambda a, b: (a + b) % p
         else:
-            negs = [0]
-            for i in range(k):  # -(t p^i + a) = (p - t) p^i - a
-                negs += [x + (p - t) * p**i for t in range(1, p) for x in negs]
-            self.neg = lambda a, _n=tuple(negs): _n[a]
-            if p > 256:
-                self.add = lambda a, b: (a + b) % p
-            else:
-                chunks = -(-k // max(d for d in range(1, k + 1) if p**d <= 256))
-                d = -(-k // chunks)
-                h, tbl = p**d, _digit_sums(p, d)
-                if chunks == 1:
-                    self._sums = tbl
-                    add = lambda a, b: tbl[a][b]
-                else:  # the top two chunks in one call, then each lower one
-                    add = lambda a, b: tbl[a % h][b % h] + h * tbl[a // h][b // h]
-                    for _ in range(chunks - 2):
-                        add = lambda a, b, rest=add: tbl[a % h][b % h] + h * rest(a // h, b // h)
-                self.add = add
+            chunks = -(-k // max(d for d in range(1, k + 1) if p**d <= 256))
+            d = -(-k // chunks)
+            h, tbl = p**d, _digit_sums(p, d)
+            if chunks == 1:
+                add = lambda a, b: tbl[a][b]
+            else:  # the top two chunks in one call, then each lower one
+                add = lambda a, b: tbl[a % h][b % h] + h * tbl[a // h][b // h]
+                for _ in range(chunks - 2):
+                    add = lambda a, b, rest=add: tbl[a % h][b % h] + h * rest(a // h, b // h)
+            self.add = add
 
         # multiplication via a discrete log on the smallest primitive element g;
         # the walk adds g*(low digits) and g*(high digits), both tabulated by
@@ -320,6 +314,12 @@ class Field:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % (self.size - 1)]
+
+    def neg(self, a: int) -> int:
+        """-a, a shift of log a by (Q - 1)/2 (-1 = g^((Q-1)/2)); -a = a for p = 2."""
+        if a == 0 or self.p == 2:
+            return a
+        return self.exp[(self.log[a] + (self.size - 1) // 2) % (self.size - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -393,32 +393,19 @@ def _extender(fld: Field) -> Callable[[State, Sequence[int]], State]:
     ``extend(state, row)`` reduces row against the state's pairs in order;
     if something is left, it returns the state plus (first nonzero column,
     remainder scaled to 1 there), otherwise the state itself.  Products
-    read a doubled exp table, and a zero factor reads its zero tail.
+    read a doubled exp table, and a zero factor reads its zero tail.  One
+    subtraction serves every field: v - c*b adds (-c)*b through fld.add,
+    with log(-c) = log c + (Q - 1)/2 (mod Q - 1; log c itself for p = 2).
     """
     order = fld.size - 1
-    log = fld.log
+    log, add = fld.log, fld.add
+    half = order // 2 if fld.p > 2 else 0  # -1 = g^half
     ext = fld.exp * 2 + (0,) * order
     logz = (2 * order,) + log[1:]
-    if fld.p == 2:
 
-        def sub(v, c, b):  # v - c*b
-            lc = log[c]
-            return [x ^ ext[lc + logz[y]] for x, y in zip(v, b)]
-
-    else:
-        nlog = tuple(log[fld.neg(c)] for c in range(fld.size))  # log of -c
-        sums, add = fld._sums, fld.add
-        if sums is not None:
-
-            def sub(v, c, b):
-                lc = nlog[c]
-                return [sums[x][ext[lc + logz[y]]] for x, y in zip(v, b)]
-
-        else:
-
-            def sub(v, c, b):
-                lc = nlog[c]
-                return [add(x, ext[lc + logz[y]]) for x, y in zip(v, b)]
+    def sub(v, c, b):  # v - c*b = v + (-c)*b
+        lc = (log[c] + half) % order
+        return [add(x, ext[lc + logz[y]]) for x, y in zip(v, b)]
 
     def extend(state: State, row: Sequence[int]) -> State:
         if len(state) == len(row):  # the whole space
@@ -536,7 +523,7 @@ def perm_from_word(n: int, word: Union[str, Sequence[Union[int, str]]]) -> Tuple
     Tokens are ``s1 .. s{n-1}`` (or bare 1-based integers); the rightmost
     letter acts first, matching the word convention elsewhere.
     """
-    toks = word.split() if isinstance(word, str) else list(word)
+    toks = word.split() if isinstance(word, str) else _sequence(word, "a permutation word")
     idx: List[int] = []
     for t in toks:
         if type(t) is int:
@@ -572,7 +559,7 @@ def coxeter_perm(n: int) -> Tuple[int, ...]:
 def _normalize_perm(n: int, w: Union[str, Sequence[int]]) -> Tuple[int, ...]:
     if isinstance(w, str):
         return perm_from_word(n, w)
-    out = tuple(w)
+    out = _sequence(w, "a permutation")
     if not all(type(x) is int for x in out) or sorted(out) != list(range(n)):
         raise UsageError(f"{w!r} is not a 0-based permutation of range({n})")
     return out
@@ -787,16 +774,16 @@ def cochar(*vectors) -> Cochar:
     if len(vectors) == 1:
         if isinstance(vectors[0], Cochar):
             return vectors[0]
-        one = _vector(vectors[0])
+        one = _sequence(vectors[0], "a cocharacter vector")
         vectors = one if one and isinstance(one[0], (tuple, list)) else (one,)
-    return Cochar(nu=tuple(map(_vector, vectors)))
+    return Cochar(nu=tuple(_sequence(v, "a cocharacter vector") for v in vectors))
 
 
-def _vector(v) -> tuple:
+def _sequence(v, what: str) -> tuple:
     try:
         return tuple(v)
     except TypeError:
-        raise UsageError(f"a cocharacter vector must be a sequence, got {v!r}") from None
+        raise UsageError(f"{what} must be a sequence, got {v!r}") from None
 
 
 def _single_nu(nu) -> Tuple[int, ...]:

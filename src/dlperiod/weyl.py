@@ -232,8 +232,8 @@ def identity_elem(rs: RootSystem) -> WeylElem:
 
 def generator(rs: RootSystem, pos: int) -> WeylElem:
     """Generator by 0-based position in `rs.gen_names` order."""
-    if not 0 <= pos < len(rs.gen_perms):
-        raise UsageError(f"generator position {pos} out of range for {rs}")
+    if type(pos) is not int or not 0 <= pos < len(rs.gen_perms):
+        raise UsageError(f"generator position {pos!r} out of range for {rs}")
     return WeylElem(rs, rs.gen_perms[pos])
 
 
@@ -276,11 +276,14 @@ def parse_word(rs: RootSystem, word: WordLike) -> Word:
     if isinstance(word, str):
         tokens = word.split()
     else:
-        tokens = list(word)
+        try:
+            tokens = list(word)
+        except TypeError:
+            raise UsageError(f"a word must be a sequence, got {word!r}") from None
     name_to_pos = {nm: i for i, nm in enumerate(rs.gen_names)}
     out: List[int] = []
     for tok in tokens:
-        if isinstance(tok, int):
+        if type(tok) is int:
             if not 1 <= tok <= len(rs.gen_names):
                 raise UsageError(f"generator position {tok} out of range for {rs}")
             out.append(tok - 1)

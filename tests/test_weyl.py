@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import act, identity, is_reflection_matrix, matmul, reflect
 from dlperiod import CapacityError, UsageError
-from dlperiod.conjclass import twisted_class
+from dlperiod.conjclass import cyclic_shift_step, twisted_class
 from dlperiod.rootsys import build_root_system
 from dlperiod.weyl import (
     WeylElem,
@@ -16,6 +16,7 @@ from dlperiod.weyl import (
     descents,
     enumerate_group,
     from_word,
+    generator,
     generators,
     identity_elem,
     inverse,
@@ -85,6 +86,31 @@ def test_parse_word_forms():
         parse_word(rs, "sp3")
     with pytest.raises(UsageError):
         parse_word(build_root_system("B", 3), "sp1")  # needs paper5
+
+
+def test_word_input_messages():
+    # positions are ints only: a bool is a token like any other, a float
+    # position and a word or a map that is no sequence are refused
+    a2 = build_root_system("A", 2)
+    w = from_word(a2, "s1 s2")
+    on = "for A2[bourbaki]"
+    cases = [
+        (lambda: parse_word(a2, [True]), f"unknown generator token 'True' {on}"),
+        (lambda: from_word(a2, [False]), f"unknown generator token 'False' {on}"),
+        (lambda: twisted_class(w, F={True: 2, 2: 1}), f"unknown generator token 'True' {on}"),
+        (lambda: generator(a2, True), f"generator position True out of range {on}"),
+        (lambda: generator(a2, 1.0), f"generator position 1.0 out of range {on}"),
+        (lambda: generator(a2, 2), f"generator position 2 out of range {on}"),
+        (lambda: cyclic_shift_step(w, True), f"generator position True out of range {on}"),
+        (lambda: cyclic_shift_step(w, 1.0), f"generator position 1.0 out of range {on}"),
+        (lambda: from_word(a2, 5), "a word must be a sequence, got 5"),
+        (lambda: twisted_class(w, F=[1, 2]), "F must be a mapping of generators, got [1, 2]"),
+    ]
+    for call, msg in cases:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == msg
+    assert generator(a2, 1) == from_word(a2, [2]) == from_word(a2, "s2")
 
 
 def test_word_convention_rightmost_first():
