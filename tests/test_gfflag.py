@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -38,6 +38,8 @@ from dlperiod.gfflag import (
     prime_power,
     rational_scalars,
 )
+from dlperiod.rootsys import build_root_system
+from dlperiod.weyl import enumerate_group, word_names
 
 # frozen tallies for complete flags on a 3-space over GF(2), by extension degree
 COMPLETE_3_2_TOTALS = {1: 21, 2: 105, 3: 657}
@@ -175,6 +177,75 @@ def test_perm_from_word_and_coxeter():
 def test_perm_from_word_takes_digit_tokens():
     assert perm_from_word(3, "1 2") == perm_from_word(3, "s1 s2") == (1, 2, 0)
     assert perm_from_word(3, [2, "s1"]) == perm_from_word(3, "s2 s1")
+
+
+def _swap_oracle(n, swaps):
+    """One-line form of s_{v1} ... s_{vk}, the last swap acting first, by
+    composing adjacent transpositions of 0..n-1 one at a time."""
+    out = []
+    for j in range(n):
+        for v in reversed(swaps):
+            if j in (v - 1, v):
+                j = 2 * v - 1 - j
+        out.append(j)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perm_from_word_on_every_element_of_the_symmetric_group(n):
+    rs = build_root_system("A", n - 1)
+    seen = set()
+    for w in enumerate_group(rs):
+        names = word_names(rs, w.word)
+        got = perm_from_word(n, " ".join(names))
+        assert got == _swap_oracle(n, [int(t[1:]) for t in names])
+        seen.add(got)
+    assert len(seen) == factorial(n)
+
+
+def test_perm_from_word_on_seeded_mixed_tokens():
+    rng = random.Random(21)
+    for n in range(2, 8):
+        for _ in range(50):
+            swaps = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+            tokens = [rng.choice((f"s{v}", str(v), v)) for v in swaps]
+            want = _swap_oracle(n, swaps)
+            assert perm_from_word(n, tokens) == want
+            assert perm_from_word(n, " ".join(map(str, tokens))) == want
+        assert coxeter_perm(n) == _swap_oracle(n, list(range(1, n)))
+
+
+# the full text of every cap refusal in gfflag
+CAP_MESSAGES = {
+    "tally": (
+        lambda: dl_point_tally(3, 2, 2, cap=10),
+        "flag family of type (1, 2) in dimension 3 over GF(2^2) has 105 members, exceeding cap 10",
+    ),
+    "count": (
+        lambda: dl_point_count(3, 2, 2, "s1", cap=10),
+        "flag family of type (1, 2) in dimension 3 over GF(2^2) has 105 members, exceeding cap 10",
+    ),
+    "omega": (
+        lambda: omega_point_count(3, 2, 3, cap=10),
+        "projective space over GF(2^3) has 73 points, exceeding cap 10",
+    ),
+    "period_flags": (
+        lambda: period_point_count((1, 0, 0), 2, 3, cap=10),
+        "flag family of type (1,) in dimension 3 over GF(2^3) has 73 members, exceeding cap 10",
+    ),
+    "period_subspaces": (
+        lambda: period_point_count((1,) + (0,) * 8, 2, 1),
+        "GF(2)^9 has 8283456 rational proper subspaces, exceeding cap 1000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAP_MESSAGES))
+def test_cap_messages(case):
+    call, msg = CAP_MESSAGES[case]
+    with pytest.raises(CapacityError) as err:
+        call()
+    assert str(err.value) == msg
 
 
 # every error path of the cell (n, q, e), cocharacter and permutation rules

@@ -277,6 +277,22 @@ def test_enumerate_group_counts_and_cap():
     assert "696729600" in str(exc.value)
 
 
+def test_group_order_cap_messages():
+    b3 = build_root_system("B", 3)
+    cases = [
+        (lambda: enumerate_group(build_root_system("A", 3), cap=23),
+         "group A3[bourbaki] has order 24, exceeding cap 23"),
+        (lambda: enumerate_group(build_root_system("E", 8)),
+         "group E8[bourbaki] has order 696729600, exceeding cap 1000000"),
+        (lambda: twisted_class(from_word(b3, "s1 s2"), cap=47),
+         "group B3[bourbaki] has order 48, exceeding cap 47"),
+    ]
+    for call, msg in cases:
+        with pytest.raises(CapacityError) as err:
+            call()
+        assert str(err.value) == msg
+
+
 # sha256 of repr([w.perm for w in enumerate_group(rs)]), frozen when every
 # generator was still tried at every element; the breadth-first order must
 # not move, whatever the walk skips
