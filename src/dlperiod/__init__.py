@@ -31,6 +31,15 @@ class CapacityError(RuntimeError):
     """
 
 
+def _check_size(size: int, cap: int, what: str) -> None:
+    """The one cap rule: `cap` must be an int (a bool is none), and a `size`
+    above it raises CapacityError("<what>, exceeding cap <cap>")."""
+    if type(cap) is not int:
+        raise UsageError(f"cap must be an integer, got {cap!r}")
+    if size > cap:
+        raise CapacityError(f"{what}, exceeding cap {cap}")
+
+
 __version__ = "0.1.0"
 
 __all__ = ["UsageError", "CapacityError", "__version__"]

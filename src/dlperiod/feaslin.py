@@ -74,30 +74,24 @@ class LinearForm:
     The coefficients are the integers `num` over the positive integer `den`
     (coeffs = num / den), which is all that solving and verifying read.  The
     Fraction tuple `coeffs` and the `label` (`prefix` plus the expression of
-    named / den, by default the form itself) are made on first access.
+    named / den, by default the form itself) are made on each access.
     """
 
-    __slots__ = ("num", "den", "_coeffs", "_label", "_prefix", "_named")
+    __slots__ = ("num", "den", "_prefix", "_named")
 
     def __init__(
         self, num: IntVector, den: int = 1, prefix: str = "", named: Optional[IntVector] = None
     ):
         self.num, self.den = num, den
-        self._coeffs = self._label = None
         self._prefix, self._named = prefix, num if named is None else named
 
     @property
     def coeffs(self) -> Vector:
-        if self._coeffs is None:
-            self._coeffs = tuple(Q(x, self.den) for x in self.num)
-        return self._coeffs
+        return tuple(Q(x, self.den) for x in self.num)
 
     @property
     def label(self) -> str:
-        if self._label is None:
-            named = tuple(Q(x, self.den) for x in self._named)
-            self._label = self._prefix + form_label(named)
-        return self._label
+        return self._prefix + form_label(tuple(Q(x, self.den) for x in self._named))
 
     def __repr__(self) -> str:
         return f"LinearForm(coeffs={self.coeffs!r}, label={self.label!r})"

@@ -30,11 +30,17 @@ of V_{k-1}; the lifted rows already have distinct pivots, so they extend
 the state of V_{k-1} to that of V_k without any reduction, and each
 flag is produced exactly once.  Every node hands its subtree whatever
 state the counter carries, so no leaf reduces its whole flag again.
-Walks take no cap: callers check the cap before they walk and raise
-CapacityError naming the predicted count; the tally checks it on the
-complete flags, although its walk stops one level short of them.  The
-flag-at-a-time oracles (``rref``, ``enumerate_flags``,
-``relative_position``, ``semistable``) live in the test suite.
+Walks take no cap: callers check the cap before they walk, by the one
+cap rule of the package (an int cap; CapacityError naming the predicted
+count); the tally checks it on the complete flags, although its walk
+stops one level short of them.  The flag-at-a-time oracles (``rref``,
+``enumerate_flags``, ``relative_position``, ``semistable``) live in the
+test suite.
+
+Permutations are one-line tuples of 0-based images.  A word for one is
+read in S_n = W(A_{n-1}) by :mod:`dlperiod.weyl`, with its grammar, and
+the one-line form is read off the images of the simple roots
+(``perm_from_word``, ``coxeter_perm``).
 
 Three counters are exposed:
 
@@ -68,7 +74,9 @@ from itertools import combinations, product as iproduct
 from operator import xor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import CapacityError, UsageError
+from . import CapacityError, UsageError, _check_size
+from .rootsys import RootSystem, build_root_system
+from .weyl import WeylElem, coxeter_standard, from_word
 
 __all__ = [
     "Cochar",
@@ -478,11 +486,9 @@ def _echelon_bases(
 
 def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
     total = flag_count(n, dims, fld.size)
-    if total > cap:
-        raise CapacityError(
-            f"flag family of type {dims} in dimension {n} over {fld!r} "
-            f"has {total} members, exceeding cap {cap}"
-        )
+    _check_size(
+        total, cap, f"flag family of type {dims} in dimension {n} over {fld!r} has {total} members"
+    )
 
 
 def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:
@@ -517,43 +523,32 @@ def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:
 # relative position
 
 
-def perm_from_word(n: int, word: Union[str, Sequence[Union[int, str]]]) -> Tuple[int, ...]:
-    """One-line form (0-based images) of a product of adjacent swaps.
+def _one_line(w: WeylElem) -> Tuple[int, ...]:
+    """The one-line form (0-based images) of w in A_{n-1}, standard profile:
+    w(e_j - e_{j+1}) = e_{w(j)} - e_{w(j+1)}, so the images of the simple
+    roots chain the images of 0, 1, ..., n-1."""
+    images = [w.rs.doubled[w.perm[i]] for i in w.rs.base_idx]
+    return tuple(r.index(2) for r in images) + (images[-1].index(-2),)
 
-    Tokens are ``s1 .. s{n-1}`` (or bare 1-based integers); the rightmost
-    letter acts first, matching the word convention elsewhere.
+
+def _symmetric(n: int) -> RootSystem:
+    """A_{n-1}, whose Weyl group is S_n, for an int n >= 2."""
+    return build_root_system("A", _check_dimension(n) - 1)
+
+
+def perm_from_word(n: int, word: Union[str, Sequence[Union[int, str]]]) -> Tuple[int, ...]:
+    """One-line form (0-based images) of a word in S_n = W(A_{n-1}).
+
+    Words are read by :func:`dlperiod.weyl.from_word`: tokens ``s1 ..
+    s{n-1}``, 1-based positions as ints or digits, and the empty ``sp<k>``;
+    the rightmost letter acts first.
     """
-    toks = word.split() if isinstance(word, str) else _sequence(word, "a permutation word")
-    idx: List[int] = []
-    for t in toks:
-        if type(t) is int:
-            v = t
-        else:
-            tt = str(t)
-            if tt.startswith("s") and tt[1:].isdigit():
-                v = int(tt[1:])
-            elif tt.isdigit():
-                v = int(tt)
-            else:
-                raise UsageError(f"unknown permutation token {t!r}")
-        if not 1 <= v <= n - 1:
-            raise UsageError(f"swap s{v} out of range for n={n}")
-        idx.append(v)
-    out = []
-    for j in range(n):
-        img = j
-        for v in reversed(idx):
-            if img == v - 1:
-                img = v
-            elif img == v:
-                img = v - 1
-        out.append(img)
-    return tuple(out)
+    return _one_line(from_word(_symmetric(n), word))
 
 
 def coxeter_perm(n: int) -> Tuple[int, ...]:
     """One-line form of s1 s2 ... s{n-1}: (1, 2, ..., n-1, 0)."""
-    return perm_from_word(n, [i for i in range(1, n)])
+    return _one_line(coxeter_standard(_symmetric(n)))
 
 
 def _normalize_perm(n: int, w: Union[str, Sequence[int]]) -> Tuple[int, ...]:
@@ -600,10 +595,15 @@ def _perm_from_ranks(rank: Sequence[Sequence[int]], n: int) -> Tuple[int, ...]:
 # point counts
 
 
-def _cell(n: int, q: int, e: int) -> Field:
-    """GF(q^e) for a count on an n-space, n an int >= 2."""
+def _check_dimension(n: int) -> int:
     if type(n) is not int or n < 2:
         raise UsageError(f"ambient dimension must be an integer >= 2, got {n!r}")
+    return n
+
+
+def _cell(n: int, q: int, e: int) -> Field:
+    """GF(q^e) for a count on an n-space, n an int >= 2."""
+    _check_dimension(n)
     return build_extension(q, e)
 
 
@@ -705,10 +705,7 @@ def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> in
     fld = _cell(n, q, e)
     size = fld.size
     npoints = (size**n - 1) // (size - 1)
-    if npoints > cap:
-        raise CapacityError(
-            f"projective space over {fld!r} has {npoints} points, exceeding cap {cap}"
-        )
+    _check_size(npoints, cap, f"projective space over {fld!r} has {npoints} points")
     scal = rational_scalars(fld, q)
     add = fld.add
     rows = {s: tuple([fld.mul(s, x) for x in range(size)]) for s in scal}
@@ -800,10 +797,7 @@ def nu_jump_dims(nu: Sequence[int]) -> Tuple[int, ...]:
 
 def _check_subspace_cap(n: int, q: int, cap: int) -> None:
     count = sum(gaussian_binomial(n, d, q) for d in range(1, n))
-    if count > cap:
-        raise CapacityError(
-            f"GF({q})^{n} has {count} rational proper subspaces, exceeding cap {cap}"
-        )
+    _check_size(count, cap, f"GF({q})^{n} has {count} rational proper subspaces")
 
 
 def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -831,33 +825,30 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     _check_subspace_cap(n, q, cap)
     # a piece is its multiplicities over the distinct values, highest first
     values = sorted(set(vnu), reverse=True)
-    memo: Dict[Tuple, int] = {}
 
+    @lru_cache(maxsize=None)
     def count(m: Tuple[int, ...], bound: Optional[Tuple[int, int]]) -> int:
         """Flags on a rational space carrying the weights m whose HN pieces
         have means below bound = (weight sum, dimension); for bound None,
         the semistable flags."""
         if not any(m):
             return 1
-        key = (m, bound)
-        if key not in memo:
-            k = sum(m)
-            split = 0
-            for p in iproduct(*(range(c + 1) for c in m)):
-                kp, sp = sum(p), sum(v * c for v, c in zip(values, p))
-                if not kp or (p == m if bound is None else sp * bound[1] >= bound[0] * kp):
-                    continue
-                rest = tuple(c - d for c, d in zip(m, p))
-                # pairs of a weight in rest above a weight in p
-                crossings = sum(r * sum(p[i + 1:]) for i, r in enumerate(rest))
-                split += (
-                    gaussian_binomial(k, kp, q) * count(p, None)
-                    * fld.size**crossings * count(rest, (sp, kp))
-                )
-            if bound is None:
-                weights = [v for v, c in zip(values, m) for _ in range(c)]
-                split = flag_count(k, nu_jump_dims(weights), fld.size) - split
-            memo[key] = split
-        return memo[key]
+        k = sum(m)
+        split = 0
+        for p in iproduct(*(range(c + 1) for c in m)):
+            kp, sp = sum(p), sum(v * c for v, c in zip(values, p))
+            if not kp or (p == m if bound is None else sp * bound[1] >= bound[0] * kp):
+                continue
+            rest = tuple(c - d for c, d in zip(m, p))
+            # pairs of a weight in rest above a weight in p
+            crossings = sum(r * sum(p[i + 1:]) for i, r in enumerate(rest))
+            split += (
+                gaussian_binomial(k, kp, q) * count(p, None)
+                * fld.size**crossings * count(rest, (sp, kp))
+            )
+        if bound is None:
+            weights = [v for v, c in zip(values, m) for _ in range(c)]
+            split = flag_count(k, nu_jump_dims(weights), fld.size) - split
+        return split
 
     return count(tuple(vnu.count(v) for v in values), None)

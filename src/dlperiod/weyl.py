@@ -43,7 +43,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
-from . import CapacityError, UsageError
+from . import UsageError, _check_size
 from .rootsys import RootSystem, Vector, build_root_system, weyl_order
 
 __all__ = [
@@ -283,17 +283,12 @@ def parse_word(rs: RootSystem, word: WordLike) -> Word:
     name_to_pos = {nm: i for i, nm in enumerate(rs.gen_names)}
     out: List[int] = []
     for tok in tokens:
-        if type(tok) is int:
-            if not 1 <= tok <= len(rs.gen_names):
-                raise UsageError(f"generator position {tok} out of range for {rs}")
-            out.append(tok - 1)
-            continue
         t = str(tok).strip()
         if t in name_to_pos:
             out.append(name_to_pos[t])
-        elif t.startswith("sp") and t[2:].isdigit():
+        elif t.startswith("sp") and t[2:].isdecimal():
             out.extend(_sp_expansion(rs, int(t[2:])))
-        elif t.isdigit():
+        elif type(tok) is int or t.isdecimal():
             p = int(t)
             if not 1 <= p <= len(rs.gen_names):
                 raise UsageError(f"generator position {p} out of range for {rs}")
@@ -399,12 +394,10 @@ def coxeter_standard(rs: RootSystem) -> WeylElem:
 
 
 def checked_order(rs: RootSystem, cap: int) -> int:
-    """Order of the group of rs; raises CapacityError when it exceeds `cap`."""
+    """Order of the group of rs; raises CapacityError when it exceeds `cap`
+    (and UsageError when `cap` is not an int)."""
     order = weyl_order(rs.kind, rs.rank)
-    if order > cap:
-        raise CapacityError(
-            f"group {rs} has order {order}, exceeding cap {cap}"
-        )
+    _check_size(order, cap, f"group {rs} has order {order}")
     return order
 
 

@@ -22,6 +22,7 @@ from dlperiod.gfflag import (
     Cochar,
     Field,
     _dl_tally_cached,
+    _one_line,
     build_extension,
     cochar,
     complete_dims,
@@ -215,6 +216,24 @@ def test_perm_from_word_on_seeded_mixed_tokens():
         assert coxeter_perm(n) == _swap_oracle(n, list(range(1, n)))
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_one_line_form_matches_the_matrix(rank):
+    # the matrix of w sends e_j to e_{w(j)}: M[w(j)][j] = 1
+    for w in enumerate_group(build_root_system("A", rank)):
+        perm = _one_line(w)
+        assert sorted(perm) == list(range(rank + 1))
+        assert all(w.matrix[i][j] == 1 for j, i in enumerate(perm))
+
+
+def test_permutation_words_take_the_weyl_grammar():
+    assert perm_from_word(3, [" s1 ", "2 "]) == perm_from_word(3, "s1 s2")
+    assert perm_from_word(4, "sp2 s1 sp0") == perm_from_word(4, "s1")
+    with pytest.raises(UsageError, match="unknown generator token 's01'"):
+        perm_from_word(3, "s01")
+    with pytest.raises(UsageError, match="generator position 3 out of range for A2"):
+        perm_from_word(3, [3])
+
+
 # the full text of every cap refusal in gfflag
 CAP_MESSAGES = {
     "tally": (
@@ -302,9 +321,34 @@ INPUT_RULE_MESSAGES = {
         lambda: dl_point_count(3, 2, 2, (True, False, 2)),
         "(True, False, 2) is not a 0-based permutation of range(3)",
     ),
-    "unknown_token": (lambda: perm_from_word(3, "s1 x2"), "unknown permutation token 'x2'"),
-    "bool_token": (lambda: perm_from_word(3, [True]), "unknown permutation token True"),
-    "scalar_word": (lambda: perm_from_word(3, 5), "a permutation word must be a sequence, got 5"),
+    "unknown_token": (
+        lambda: perm_from_word(3, "s1 x2"), "unknown generator token 'x2' for A2[bourbaki]"
+    ),
+    "bool_token": (
+        lambda: perm_from_word(3, [True]), "unknown generator token 'True' for A2[bourbaki]"
+    ),
+    "scalar_word": (lambda: perm_from_word(3, 5), "a word must be a sequence, got 5"),
+    "bool_coxeter_n": (
+        lambda: coxeter_perm(True), "ambient dimension must be an integer >= 2, got True"
+    ),
+    "float_coxeter_n": (
+        lambda: coxeter_perm(2.0), "ambient dimension must be an integer >= 2, got 2.0"
+    ),
+    "float_word_n": (
+        lambda: perm_from_word(3.0, "s1"), "ambient dimension must be an integer >= 2, got 3.0"
+    ),
+    "word_n": (lambda: perm_from_word(1, ""), "ambient dimension must be an integer >= 2, got 1"),
+    "str_tally_cap": (lambda: dl_point_tally(3, 2, 1, cap="x"), "cap must be an integer, got 'x'"),
+    "float_tally_cap": (lambda: dl_point_tally(3, 2, 1, cap=1.5), "cap must be an integer, got 1.5"),
+    "bool_count_cap": (
+        lambda: dl_point_count(3, 2, 1, "s1", cap=True), "cap must be an integer, got True"
+    ),
+    "none_omega_cap": (
+        lambda: omega_point_count(3, 2, 1, cap=None), "cap must be an integer, got None"
+    ),
+    "str_period_cap": (
+        lambda: period_point_count((1, 0, 0), 2, 1, cap="x"), "cap must be an integer, got 'x'"
+    ),
     "scalar_permutation": (
         lambda: dl_point_count(3, 2, 2, 5), "a permutation must be a sequence, got 5"
     ),

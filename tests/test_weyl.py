@@ -113,6 +113,26 @@ def test_word_input_messages():
     assert generator(a2, 1) == from_word(a2, [2]) == from_word(a2, "s2")
 
 
+def test_word_positions_share_one_range_check():
+    # int and digit positions meet one range check; a digit int() cannot
+    # read, such as a superscript, is an unknown token
+    a2 = build_root_system("A", 2)
+    on = "for A2[bourbaki]"
+    cases = [
+        (lambda: parse_word(a2, [3]), f"generator position 3 out of range {on}"),
+        (lambda: parse_word(a2, "s1 3"), f"generator position 3 out of range {on}"),
+        (lambda: parse_word(a2, [" 0 "]), f"generator position 0 out of range {on}"),
+        (lambda: parse_word(a2, [-1]), f"generator position -1 out of range {on}"),
+        (lambda: parse_word(a2, "s1 \u00b2"), f"unknown generator token '\u00b2' {on}"),
+        (lambda: parse_word(a2, ["sp\u00b2"]), f"unknown generator token 'sp\u00b2' {on}"),
+    ]
+    for call, msg in cases:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == msg
+    assert parse_word(a2, [2, " 1", "s2 "]) == (1, 0, 1)
+
+
 def test_word_convention_rightmost_first():
     rs = build_root_system("B", 2, "paper5")
     w = from_word(rs, "t s1")
@@ -291,6 +311,16 @@ def test_group_order_cap_messages():
         with pytest.raises(CapacityError) as err:
             call()
         assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("cap", ["x", 1.5, True, None])
+def test_group_order_cap_must_be_an_int(cap):
+    b3 = build_root_system("B", 3)
+    for call in (lambda: enumerate_group(b3, cap=cap),
+                 lambda: twisted_class(from_word(b3, "s1 s2"), cap=cap)):
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == f"cap must be an integer, got {cap!r}"
 
 
 # sha256 of repr([w.perm for w in enumerate_group(rs)]), frozen when every
