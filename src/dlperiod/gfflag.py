@@ -691,10 +691,13 @@ def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> Dict[
 def dl_point_count(
     n: int, q: int, e: int, w: Union[str, Sequence[int]], cap: int = DEFAULT_ENUM_CAP
 ) -> int:
-    """Number of complete flags at relative position w from their image."""
-    _cell(n, q, e)
+    """Number of complete flags at relative position w from their image.
+
+    The cap is checked before w is read: a word is read in A_{n-1}, whose
+    root system grows as n^2, and every n the cap admits is small."""
+    _check_cap(_cell(n, q, e), n, complete_dims(n), cap)
     perm = _normalize_perm(n, w)
-    return dl_point_tally(n, q, e, cap).get(perm, 0)
+    return dict(_dl_tally_cached(n, q, e)).get(perm, 0)
 
 
 def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -813,15 +816,16 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     filtration, the semistable flag on each piece, and an affine space of
     extensions, c counting the pairs (x in nu^(j), y in nu^(i)), i < j,
     with x > y.  The semistable flags are all flags minus the types with
-    r >= 2.  Both caps are checked first, although no flag is visited.
+    r >= 2.  Both caps are checked first, although no flag is visited; the
+    trivial flag of a constant nu is checked against the flag cap alone.
     """
     vnu = _single_nu(nu)
     fld = build_extension(q, e)
     n = len(vnu)
     dims = nu_jump_dims(vnu)
+    _check_cap(fld, n, dims, cap)
     if not dims:
         return 1  # the trivial flag, vacuously semistable
-    _check_cap(fld, n, dims, cap)
     _check_subspace_cap(n, q, cap)
     # a piece is its multiplicities over the distinct values, highest first
     values = sorted(set(vnu), reverse=True)

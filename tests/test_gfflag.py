@@ -39,7 +39,7 @@ from dlperiod.gfflag import (
     prime_power,
     rational_scalars,
 )
-from dlperiod.rootsys import build_root_system
+from dlperiod.rootsys import _build_interned, build_root_system
 from dlperiod.weyl import enumerate_group, word_names
 
 # frozen tallies for complete flags on a 3-space over GF(2), by extension degree
@@ -256,6 +256,10 @@ CAP_MESSAGES = {
         lambda: period_point_count((1,) + (0,) * 8, 2, 1),
         "GF(2)^9 has 8283456 rational proper subspaces, exceeding cap 1000000",
     ),
+    "period_trivial": (
+        lambda: period_point_count((0, 0, 0), 2, 1, cap=0),
+        "flag family of type () in dimension 3 over GF(2) has 1 members, exceeding cap 0",
+    ),
 }
 
 
@@ -265,6 +269,14 @@ def test_cap_messages(case):
     with pytest.raises(CapacityError) as err:
         call()
     assert str(err.value) == msg
+
+
+def test_count_refuses_before_reading_the_word():
+    # a word is read in A_{n-1}; a count the cap refuses builds no root system
+    before = _build_interned.cache_info()
+    with pytest.raises(CapacityError, match=r"in dimension 150 over GF\(2\) has \d+ members"):
+        dl_point_count(150, 2, 1, "s1")
+    assert _build_interned.cache_info() == before
 
 
 # every error path of the cell (n, q, e), cocharacter and permutation rules
@@ -348,6 +360,9 @@ INPUT_RULE_MESSAGES = {
     ),
     "str_period_cap": (
         lambda: period_point_count((1, 0, 0), 2, 1, cap="x"), "cap must be an integer, got 'x'"
+    ),
+    "str_trivial_period_cap": (
+        lambda: period_point_count((0, 0, 0), 2, 1, cap="x"), "cap must be an integer, got 'x'"
     ),
     "scalar_permutation": (
         lambda: dl_point_count(3, 2, 2, 5), "a permutation must be a sequence, got 5"
