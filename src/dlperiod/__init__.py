@@ -26,18 +26,30 @@ class UsageError(ValueError):
 class CapacityError(RuntimeError):
     """A requested enumeration would exceed its configured cap (exit 2).
 
-    The message always names the predicted size so the caller can decide
-    whether raising the cap is sane.
+    The message names the predicted size, or a bound on it when the size
+    is too long to print, so the caller can decide whether raising the cap
+    is sane.
     """
 
 
-def _check_size(size: int, cap: int, what: str) -> None:
+DEFAULT_CAP = 10**6
+_FULL_BELOW = 10**4300  # str() refuses ints of more than 4,300 digits
+
+
+def _check_size(size: int, cap: int, template: str, **fields) -> None:
     """The one cap rule: `cap` must be an int (a bool is none), and a `size`
-    above it raises CapacityError("<what>, exceeding cap <cap>")."""
+    above it raises CapacityError("<template>, exceeding cap <cap>").  Only
+    then is the template formatted with `size` and `fields`; an int of more
+    than 4,300 digits is named "more than 2^b" for the largest such b."""
     if type(cap) is not int:
         raise UsageError(f"cap must be an integer, got {cap!r}")
     if size > cap:
-        raise CapacityError(f"{what}, exceeding cap {cap}")
+        named = {
+            k: f"more than 2^{(v - 1).bit_length() - 1}"
+            if type(v) is int and v >= _FULL_BELOW else v
+            for k, v in dict(fields, size=size, cap=cap).items()
+        }
+        raise CapacityError((template + ", exceeding cap {cap}").format(**named))
 
 
 __version__ = "0.1.0"

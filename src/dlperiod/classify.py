@@ -23,7 +23,7 @@ every case.  The exhaustive scan enumerates all (w, nu) pairs below the
 given bounds: it computes (reduced word, length, support) once per group
 element and (dim, side) once per weakly decreasing vector, and joins them
 per record.  It raises CapacityError before building anything when the
-record count exceeds `gfflag.DEFAULT_ENUM_CAP`.
+record count exceeds `dlperiod.DEFAULT_CAP`.
 """
 from __future__ import annotations
 
@@ -33,9 +33,9 @@ from itertools import accumulate, combinations_with_replacement, product as ipro
 from math import comb, factorial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from . import CapacityError, UsageError
-from .gfflag import DEFAULT_ENUM_CAP, Cochar, cochar, nu_jump_dims, prime_power
-from .rootsys import build_root_system, parabolic_dim
+from . import DEFAULT_CAP, UsageError, _check_size
+from .gfflag import Cochar, _symmetric, cochar, nu_jump_dims, prime_power
+from .rootsys import parabolic_dim
 from .weyl import WeylElem, enumerate_group, reduced_word, word_names
 
 __all__ = [
@@ -81,15 +81,11 @@ class Verdict(namedtuple("Verdict", "outcome reason n t side chain", defaults=(N
         return dict(self.chain)
 
 
-def _factor_system(n: int):
-    return build_root_system("A", n - 1, "bourbaki")
-
-
 def _normalize_ws(spec: GroupSpec, ws) -> Tuple[WeylElem, ...]:
     tup = (ws,) if isinstance(ws, WeylElem) else tuple(ws)
     if len(tup) != spec.t:
         raise UsageError(f"expected {spec.t} factor elements, got {len(tup)}")
-    rs = _factor_system(spec.n)
+    rs = _symmetric(spec.n)
     for w in tup:
         if not isinstance(w, WeylElem) or w.rs is not rs:
             got = w if isinstance(w, WeylElem) else repr(w)
@@ -134,7 +130,7 @@ def _nu_stats(v: Tuple[int, ...]) -> Tuple[int, Optional[str]]:
     if not jumps:
         return 0, None
     side = "lower" if jumps == (1,) else "upper" if jumps == (n - 1,) else None
-    return parabolic_dim(_factor_system(n), jumps), side
+    return parabolic_dim(_symmetric(n), jumps), side
 
 
 def pd_dimension(spec: GroupSpec, nu) -> int:
@@ -216,7 +212,7 @@ def classification_scan(
     [0, nu_bound].  q is recorded into the records (the verdict chain is
     q-independent) after a prime-power sanity check.  Raises
     CapacityError before building anything when the scan would hold more
-    than `gfflag.DEFAULT_ENUM_CAP` records.
+    than `dlperiod.DEFAULT_CAP` records.
     """
     prime_power(q)
     if (
@@ -227,20 +223,16 @@ def classification_scan(
             f"need n_max >= 2, t_max >= 1, nu_bound >= 0; "
             f"got ({n_max}, {t_max}, {nu_bound})"
         )
-    sizes = accumulate(
+    template = "classification scan ({n_max}, {t_max}, {nu_bound}) needs at least {size} records"
+    for total in accumulate(
         (factorial(n) * comb(nu_bound + n, n)) ** t
         for n in range(2, n_max + 1)
         for t in range(1, t_max + 1)
-    )
-    total = next((size for size in sizes if size > DEFAULT_ENUM_CAP), None)
-    if total is not None:
-        raise CapacityError(
-            f"classification scan ({n_max}, {t_max}, {nu_bound}) needs at least "
-            f"{total} records, exceeding cap {DEFAULT_ENUM_CAP}"
-        )
+    ):
+        _check_size(total, DEFAULT_CAP, template, n_max=n_max, t_max=t_max, nu_bound=nu_bound)
     records: List[ScanRecord] = []
     for n in range(2, n_max + 1):
-        elems = [_elem_stats(w) for w in enumerate_group(_factor_system(n))]
+        elems = [_elem_stats(w) for w in enumerate_group(_symmetric(n))]
         nus = _decreasing_vectors(n, nu_bound)
         stats = {v: _nu_stats(v) for v in nus}
         for t in range(1, t_max + 1):

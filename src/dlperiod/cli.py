@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import CapacityError, UsageError, __version__
+from . import DEFAULT_CAP, CapacityError, UsageError, __version__
 from .classify import classification_scan
 from .conjclass import (
     gp_element,
@@ -25,7 +25,6 @@ from .conjclass import (
 )
 from .dlcrit import check_dl_criterion, report_payload, scan_gp
 from .gfflag import (
-    DEFAULT_ENUM_CAP,
     dl_point_count,
     omega_point_count,
     period_point_count,
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--w", required=True, help="word like 's1 s2' or one-line '1,2,0'")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     common(p)
     p.set_defaults(func=_cmd_count_points)
 
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     common(p)
     p.set_defaults(func=_cmd_omega)
 
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True, help="weakly decreasing ints, e.g. '1,0,0'")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     common(p)
     p.set_defaults(func=_cmd_period_domain)
 

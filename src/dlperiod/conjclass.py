@@ -23,10 +23,9 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import UsageError
+from . import DEFAULT_CAP, UsageError
 from .rootsys import RootSystem, build_root_system, normalize_kind
 from .weyl import (
-    DEFAULT_GROUP_CAP,
     WeylElem,
     _getters,
     checked_order,
@@ -143,7 +142,7 @@ def _class_walk(
 
 
 def reduce_to_minimal(
-    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
+    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_CAP
 ) -> ReductionChain:
     """Chain of nonincreasing shift steps to a minimal-length class member.
 
@@ -163,21 +162,21 @@ def reduce_to_minimal(
 
 
 def shift_closure(
-    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
+    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_CAP
 ) -> List[WeylElem]:
     """All elements reachable from w by nonincreasing shift steps (BFS order)."""
     return _class_walk(w, F, cap, monotone=True)[0]
 
 
 def twisted_class(
-    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
+    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_CAP
 ) -> List[WeylElem]:
     """The whole twisted conjugacy class of w (BFS order, no length filter)."""
     return _class_walk(w, F, cap, monotone=False)[0]
 
 
 def min_length_bruteforce(
-    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_GROUP_CAP
+    w: WeylElem, F: GenMap = None, cap: int = DEFAULT_CAP
 ) -> int:
     """Minimum coxeter_length over the full twisted class (independent of
     the shift heuristics; used as the reference in tests)."""

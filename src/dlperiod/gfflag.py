@@ -31,9 +31,9 @@ the state of V_{k-1} to that of V_k without any reduction, and each
 flag is produced exactly once.  Every node hands its subtree whatever
 state the counter carries, so no leaf reduces its whole flag again.
 Walks take no cap: callers check the cap before they walk, by the one
-cap rule of the package (an int cap; CapacityError naming the predicted
-count); the tally checks it on the complete flags, although its walk
-stops one level short of them.  The flag-at-a-time oracles (``rref``,
+cap rule of the package (an int cap; CapacityError naming the count or
+a bound on it); the tally checks it on the complete flags, although its
+walk stops one level short of them.  The flag-at-a-time oracles (``rref``,
 ``enumerate_flags``, ``relative_position``, ``semistable``) live in the
 test suite.
 
@@ -74,7 +74,7 @@ from itertools import combinations, product as iproduct
 from operator import xor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import CapacityError, UsageError, _check_size
+from . import DEFAULT_CAP, UsageError, _FULL_BELOW, _check_size
 from .rootsys import RootSystem, build_root_system
 from .weyl import WeylElem, coxeter_standard, from_word
 
@@ -100,7 +100,6 @@ Row = Tuple[int, ...]
 State = Tuple[Tuple[int, Sequence[int]], ...]
 
 FIELD_CAP = 2**16
-DEFAULT_ENUM_CAP = 10**6
 
 
 def _prime_factors(m: int) -> List[int]:
@@ -366,8 +365,9 @@ def field_build(p: int, k: int) -> Field:
         raise UsageError(f"field characteristic must be prime, got {p!r}")
     if type(k) is not int or k < 1:
         raise UsageError(f"field degree must be >= 1, got {k!r}")
-    if p**k > FIELD_CAP:
-        raise CapacityError(f"field size {p}^{k} = {p**k} exceeds cap {FIELD_CAP}")
+    # a cut power is a lower bound past the print threshold: any k in bounded time
+    size = p ** min(k, _FULL_BELOW.bit_length())
+    _check_size(size, FIELD_CAP, "field GF({p}^{k}) has {size} elements", p=p, k=k)
     return Field(p, k)
 
 
@@ -485,10 +485,8 @@ def _echelon_bases(
 
 
 def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
-    total = flag_count(n, dims, fld.size)
-    _check_size(
-        total, cap, f"flag family of type {dims} in dimension {n} over {fld!r} has {total} members"
-    )
+    template = "flag family of type {dims} in dimension {n} over {fld!r} has {size} members"
+    _check_size(flag_count(n, dims, fld.size), cap, template, dims=dims, n=n, fld=fld)
 
 
 def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:
@@ -678,7 +676,7 @@ def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int
     return tuple(sorted(counts.items()))
 
 
-def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> Dict[Tuple[int, ...], int]:
+def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_CAP) -> Dict[Tuple[int, ...], int]:
     """Count complete flags by relative position with their q-Frobenius image.
 
     Keys are 0-based one-line permutations; values sum to the number of
@@ -689,7 +687,7 @@ def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> Dict[
 
 
 def dl_point_count(
-    n: int, q: int, e: int, w: Union[str, Sequence[int]], cap: int = DEFAULT_ENUM_CAP
+    n: int, q: int, e: int, w: Union[str, Sequence[int]], cap: int = DEFAULT_CAP
 ) -> int:
     """Number of complete flags at relative position w from their image.
 
@@ -700,7 +698,7 @@ def dl_point_count(
     return dict(_dl_tally_cached(n, q, e)).get(perm, 0)
 
 
-def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_CAP) -> int:
     """Projective points over GF(q^e) avoiding all GF(q)-rational hyperplanes.
 
     Written directly against normalized coordinate vectors — independent
@@ -708,7 +706,7 @@ def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> in
     fld = _cell(n, q, e)
     size = fld.size
     npoints = (size**n - 1) // (size - 1)
-    _check_size(npoints, cap, f"projective space over {fld!r} has {npoints} points")
+    _check_size(npoints, cap, "projective space over {fld!r} has {size} points", fld=fld)
     scal = rational_scalars(fld, q)
     add = fld.add
     rows = {s: tuple([fld.mul(s, x) for x in range(size)]) for s in scal}
@@ -800,10 +798,10 @@ def nu_jump_dims(nu: Sequence[int]) -> Tuple[int, ...]:
 
 def _check_subspace_cap(n: int, q: int, cap: int) -> None:
     count = sum(gaussian_binomial(n, d, q) for d in range(1, n))
-    _check_size(count, cap, f"GF({q})^{n} has {count} rational proper subspaces")
+    _check_size(count, cap, "GF({q})^{n} has {size} rational proper subspaces", q=q, n=n)
 
 
-def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_CAP) -> int:
     """Number of semistable flags of nu's type over GF(q^e), by the
     Harder-Narasimhan recursion (Rapoport 1997; Orlik 2000).
 

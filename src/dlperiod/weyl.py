@@ -43,7 +43,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
-from . import UsageError, _check_size
+from . import DEFAULT_CAP, UsageError, _check_size
 from .rootsys import RootSystem, Vector, build_root_system, weyl_order
 
 __all__ = [
@@ -73,8 +73,6 @@ Word = Tuple[int, ...]  # 0-based generator positions (internal canonical form)
 WordLike = Union[str, Iterable[Union[int, str]]]
 Perm = Tuple[int, ...]  # perm[i] = index of the image of root i
 Matrix = Tuple[Vector, ...]  # rows
-
-DEFAULT_GROUP_CAP = 1_000_000
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -397,11 +395,11 @@ def checked_order(rs: RootSystem, cap: int) -> int:
     """Order of the group of rs; raises CapacityError when it exceeds `cap`
     (and UsageError when `cap` is not an int)."""
     order = weyl_order(rs.kind, rs.rank)
-    _check_size(order, cap, f"group {rs} has order {order}")
+    _check_size(order, cap, "group {rs} has order {size}", rs=rs)
     return order
 
 
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> List[WeylElem]:
+def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> List[WeylElem]:
     """All group elements in breadth-first order from the identity.
 
     Deterministic: generators are tried in their listed order.  A generator

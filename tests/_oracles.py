@@ -18,9 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from dlperiod import UsageError
+from dlperiod import DEFAULT_CAP, UsageError
 from dlperiod.gfflag import (
-    DEFAULT_ENUM_CAP,
     _check_cap,
     _check_subspace_cap,
     _echelon_bases,
@@ -245,7 +244,7 @@ def _check_dims(n, dims):
     return out
 
 
-def enumerate_flags(fld, n, dims, cap=DEFAULT_ENUM_CAP):
+def enumerate_flags(fld, n, dims, cap=DEFAULT_CAP):
     """Every flag of the given type exactly once (cap-checked first)."""
     dims_t = _check_dims(n, dims)
     _check_cap(fld, n, dims_t, cap)
@@ -306,7 +305,7 @@ def semistable(nu, flag, q):
     if not flag.dims:
         return True  # the trivial flag
     fld, n, total = flag.field, flag.n, sum(vnu)
-    _check_subspace_cap(n, q, DEFAULT_ENUM_CAP)
+    _check_subspace_cap(n, q, DEFAULT_CAP)
     extend = _extender(fld)
     # the graded piece between cuts k-1 and k has weight seg[k], so
     # deg U = seg[-1] dim U + sum_k (seg[k] - seg[k+1]) dim(U ^ V_{dims[k]})

@@ -16,9 +16,8 @@ from _oracles import (
     rref,
     semistable,
 )
-from dlperiod import CapacityError, UsageError
+from dlperiod import DEFAULT_CAP, CapacityError, UsageError
 from dlperiod.gfflag import (
-    DEFAULT_ENUM_CAP,
     Cochar,
     Field,
     _dl_tally_cached,
@@ -259,6 +258,25 @@ CAP_MESSAGES = {
     "period_trivial": (
         lambda: period_point_count((0, 0, 0), 2, 1, cap=0),
         "flag family of type () in dimension 3 over GF(2) has 1 members, exceeding cap 0",
+    ),
+    # sizes of more than 4,300 digits are named by a power-of-two bound
+    "count_n200": (
+        lambda: dl_point_count(200, 2, 1, "s1"),
+        f"flag family of type {tuple(range(1, 200))} in dimension 200 over GF(2) "
+        "has more than 2^20098 members, exceeding cap 1000000",
+    ),
+    "omega_n8000": (
+        lambda: omega_point_count(8000, 2, 2),
+        "projective space over GF(2^2) has more than 2^15998 points, exceeding cap 1000000",
+    ),
+    "field": (
+        lambda: build_extension(2, 17),
+        "field GF(2^17) has 131072 elements, exceeding cap 65536",
+    ),
+    # the power is cut at 2^14285 > 10^4300, so any degree is refused at once
+    "field_huge": (
+        lambda: omega_point_count(2, 3, 30_000_000),
+        "field GF(3^30000000) has more than 2^22641 elements, exceeding cap 65536",
     ),
 }
 
@@ -829,7 +847,7 @@ def test_coxeter_cell_matches_moebius_closed_form(n, q, e, count):
     assert period_point_count((1,) + (0,) * (n - 1), q, e) == count
     assert period_point_count((1,) * (n - 1) + (0,), q, e) == count
     # GF(16)^4 has 20,276,529 complete flags, past the tally's default cap
-    if flag_count(n, complete_dims(n), q**e) <= DEFAULT_ENUM_CAP:
+    if flag_count(n, complete_dims(n), q**e) <= DEFAULT_CAP:
         assert dl_point_count(n, q, e, coxeter_perm(n)) == count
 
 
