@@ -74,7 +74,7 @@ from itertools import combinations, product as iproduct
 from operator import xor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import DEFAULT_CAP, UsageError, _FULL_BELOW, _check_size
+from . import DEFAULT_CAP, UsageError, _check_size
 from .rootsys import RootSystem, build_root_system
 from .weyl import WeylElem, coxeter_standard, from_word
 
@@ -365,8 +365,8 @@ def field_build(p: int, k: int) -> Field:
         raise UsageError(f"field characteristic must be prime, got {p!r}")
     if type(k) is not int or k < 1:
         raise UsageError(f"field degree must be >= 1, got {k!r}")
-    # a cut power is a lower bound past the print threshold: any k in bounded time
-    size = p ** min(k, _FULL_BELOW.bit_length())
+    # 2^14285 > 10^4300: a power cut there is named by a true bound, so any k is quick
+    size = p ** min(k, 14285)
     _check_size(size, FIELD_CAP, "field GF({p}^{k}) has {size} elements", p=p, k=k)
     return Field(p, k)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dlperiod import DEFAULT_CAP, CapacityError, UsageError, _check_size
+from dlperiod import DEFAULT_CAP, CapacityError, _check_size
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src", "tests", "perfbench")
@@ -85,9 +85,3 @@ def test_fields_and_cap_are_named_by_the_same_rule():
     assert str(err.value) == (
         "more than 2^14287 has more than 2^16609, exceeding cap more than 2^14616"
     )
-
-
-@pytest.mark.parametrize("cap", ["x", 1.5, True, None])
-def test_cap_must_be_an_int(cap):
-    with pytest.raises(UsageError, match="cap must be an integer"):
-        _check_size(0, cap, "unused")
