@@ -54,4 +54,4 @@ def _check_size(size: int, cap: int, template: str, **fields) -> None:
 
 __version__ = "0.1.0"
 
-__all__ = ["UsageError", "CapacityError", "__version__"]
+__all__ = ["DEFAULT_CAP", "UsageError", "CapacityError", "__version__"]
