@@ -2,8 +2,8 @@
 
 Every subcommand prints deterministically (identical invocations give
 byte-identical stdout).  Rationals render as 'p' or 'p/q'.  Exit codes:
-0 success, 1 a gp-scan found a criterion violation, 2 usage or capacity
-errors.
+0 success, 1 a gp-scan result whose all_pass is false, 2 usage or
+capacity errors.
 """
 from __future__ import annotations
 
@@ -33,10 +33,6 @@ from .rootsys import build_root_system, rank_vs_dim_table
 from .weyl import coxeter_length, from_word, parse_word, word_names
 
 __all__ = ["main"]
-
-
-def _fmt_fracs(xs) -> str:
-    return ",".join(str(x) for x in xs)
 
 
 def _emit(args, payload: Dict, rows: Optional[Tuple[Tuple[str, ...], List[Tuple]]] = None) -> None:
@@ -173,9 +169,7 @@ def _cmd_gp_scan(args) -> int:
         {
             "datum": str(e.datum),
             "feasible": e.report.result.feasible,
-            "witness": _fmt_fracs(e.report.result.witness)
-            if e.report.result.witness is not None
-            else None,
+            "witness": ",".join(map(str, e.report.result.witness)),
         }
         for e in result.entries
     ]

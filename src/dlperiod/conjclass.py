@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import DEFAULT_CAP, UsageError
 from .rootsys import RootSystem, build_root_system, normalize_kind
@@ -187,7 +188,9 @@ def min_length_bruteforce(
 # distinguished block representatives
 
 
-_DELTAS = ("one", "s1", "tprime")
+# the word of each extra left factor of kind D
+_DELTA_WORDS = {"one": (), "s1": ("s1",), "tprime": ("tp",)}
+_DELTAS = tuple(_DELTA_WORDS)
 # the least rank of each kind with block representatives
 _GP_MIN_RANK = {"A": 2, "B": 2, "D": 4}
 
@@ -195,8 +198,20 @@ _GP_MIN_RANK = {"A": 2, "B": 2, "D": 4}
 def _check_gp_rank(kind: str, rank: int) -> None:
     if kind not in _GP_MIN_RANK:
         raise UsageError(f"block representatives exist for kinds A, B, D, not {kind}")
+    if type(rank) is not int:
+        raise UsageError(f"rank {rank!r} is not an integer")
     if rank < _GP_MIN_RANK[kind]:
         raise UsageError(f"kind {kind} needs rank >= {_GP_MIN_RANK[kind]}")
+
+
+def _int_tuple(values) -> Optional[Tuple[int, ...]]:
+    """values as a tuple of ints, or None when it is not a sequence of ints
+    (a float or a bool is none)."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        return None
+    return out if all(type(v) is int for v in out) else None
 
 
 class GPDatum(namedtuple("GPDatum", "kind rank parts signs delta", defaults=("one",))):
@@ -206,19 +221,22 @@ class GPDatum(namedtuple("GPDatum", "kind rank parts signs delta", defaults=("on
     of `rank` (kinds A, B) or of `rank - 1` (kind D, where the first
     coordinate is special).  `signs` holds one entry of +-1 per part (all
     +1 for kind A).  `delta` is an extra left factor for kind D only.
+    The rank is an int, and `parts` and `signs` are stored as tuples of
+    ints; a float or a bool is refused, so a datum is an exact cache key.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, rank: int, parts: Tuple[int, ...], signs: Tuple[int, ...],
+    def __new__(cls, kind: str, rank: int, parts: Sequence[int], signs: Sequence[int],
                 delta: str = "one"):
         _check_gp_rank(kind, rank)
         body = rank if kind in ("A", "B") else rank - 1
-        if not parts or any(p < 1 for p in parts):
+        parts, signs = _int_tuple(parts), _int_tuple(signs)
+        if not parts or min(parts) < 1:
             raise UsageError("parts must be a nonempty composition of positive integers")
         if sum(parts) != body:
             raise UsageError(f"parts {parts} must sum to {body} for kind {kind}, rank {rank}")
-        if len(signs) != len(parts) or any(s not in (1, -1) for s in signs):
+        if signs is None or len(signs) != len(parts) or not set(signs) <= {1, -1}:
             raise UsageError("signs must be +-1, one per part")
         if kind == "A" and any(s != 1 for s in signs):
             raise UsageError("kind A admits only +1 signs")
@@ -241,57 +259,43 @@ def gp_system(datum: GPDatum) -> RootSystem:
     return build_root_system(datum.kind, datum.rank, "paper5")
 
 
-def _block_tokens(datum: GPDatum, start: int, size: int, sign: int) -> Tuple[str, ...]:
-    """Generator-name tokens for one signed cycle.
-
-    `start` is the number of coordinates consumed by earlier parts; for
-    kind D the block coordinates sit shifted one to the right of the
-    special coordinate.
-    """
-    if datum.kind in ("A", "B"):
-        m, n = start + 1, start + size
-    else:  # D
-        m, n = start + 2, start + size + 1
-    toks = tuple(f"s{i}" for i in range(m, n))
-    if sign == -1:
-        toks = (f"sp{start}",) + toks
-    return toks
+def _factor_words(datum: GPDatum) -> List[Tuple[str, ...]]:
+    """The construction word in factors of generator-name tokens: the delta
+    word, then one signed cycle per part.  A cycle's coordinates follow
+    those of the earlier parts (for kind D, one to the right of the special
+    first coordinate), and a negative sign puts sp<start> in front, start
+    the number of coordinates the earlier parts consumed."""
+    words = [_DELTA_WORDS[datum.delta]]
+    first = 2 if datum.kind == "D" else 1
+    consumed = 0
+    for size, sign in zip(datum.parts, datum.signs):
+        m = consumed + first
+        cycle = tuple(f"s{i}" for i in range(m, m + size - 1))
+        words.append(cycle if sign == 1 else (f"sp{consumed}", *cycle))
+        consumed += size
+    return words
 
 
 def gp_word_tokens(datum: GPDatum) -> Tuple[str, ...]:
     """Construction word as generator-name tokens (sp tokens unexpanded)."""
-    toks: List[str] = []
-    if datum.delta == "s1":
-        toks.append("s1")
-    elif datum.delta == "tprime":
-        toks.append("tp")
-    consumed = 0
-    for size, sign in zip(datum.parts, datum.signs):
-        toks.extend(_block_tokens(datum, consumed, size, sign))
-        consumed += size
-    return tuple(toks)
+    return tuple(tok for word in _factor_words(datum) for tok in word)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a plain tuple must not find a datum's element
 def gp_element(datum: GPDatum) -> WeylElem:
-    """The distinguished representative, the product of its construction word.
+    """The distinguished representative: the delta factor times the block
+    cycles, the product of its construction word.
 
     The block factors act on disjoint coordinate sets (plus, with negative
     signs, the shared sign ladder) and must commute pairwise; this is
     asserted because the whole construction rests on it.
     """
     rs = gp_system(datum)
-    blocks = []
-    consumed = 0
-    for size, sign in zip(datum.parts, datum.signs):
-        blocks.append(from_word(rs, _block_tokens(datum, consumed, size, sign)).perm)
-        consumed += size
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            a, b = blocks[i], blocks[j]
-            if compose(a, b) != compose(b, a):
-                raise AssertionError(f"blocks {i} and {j} of {datum} do not commute")
-    return from_word(rs, gp_word_tokens(datum))
+    delta, *blocks = (from_word(rs, word).perm for word in _factor_words(datum))
+    for (i, a), (j, b) in combinations(enumerate(blocks), 2):
+        if compose(a, b) != compose(b, a):
+            raise AssertionError(f"blocks {i} and {j} of {datum} do not commute")
+    return WeylElem(rs, reduce(compose, blocks, delta))
 
 
 def _compositions(n: int):

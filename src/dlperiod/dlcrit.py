@@ -140,13 +140,7 @@ def report_payload(report: CriterionReport) -> Dict:
 # closed-form witnesses for the block representatives
 
 
-def _run_blocks(
-    kind: str,
-    x: List[Optional[Q]],
-    parts: Sequence[int],
-    signs: Sequence[int],
-    pos: int,
-) -> None:
+def _run_blocks(kind: str, x: List[Optional[Q]], parts: Sequence[int], pos: int) -> None:
     """Fill x (1-based positions pos..) for a run of standard block cycles.
 
     Entering, x[pos-1] (0-based: pos-1) is already set.  Within a block
@@ -156,7 +150,7 @@ def _run_blocks(
     (half the previous coordinate for kind A, a third of the wrap sum for
     kind B)."""
     ell = len(x)
-    for size, sign in zip(parts, signs):
+    for size in parts:
         m, n = pos, pos + size - 1
         start = x[m - 1]
         if start is None:  # pragma: no cover - drop step always precedes
@@ -174,10 +168,10 @@ def _run_blocks(
         pos = n + 1
 
 
-def _chain_witness(kind: str, parts: Sequence[int], signs: Sequence[int], ell: int) -> Vector:
+def _chain_witness(kind: str, parts: Sequence[int], ell: int) -> Vector:
     x: List[Optional[Q]] = [None] * ell
     x[0] = Q(1)
-    _run_blocks(kind, x, parts, signs, 1)
+    _run_blocks(kind, x, parts, 1)
     return tuple(x)  # type: ignore[arg-type]
 
 
@@ -185,17 +179,15 @@ def _delta_witness_D(datum: GPDatum) -> Vector:
     """Witness for kind D with a nontrivial delta factor.
 
     The delta factor merges the special first coordinate into the first
-    block, giving one cycle on coordinates 1..n1 (n1 = parts[0] + 1) whose
-    two sign hops are u (into coordinate 2) and v (back into coordinate
-    1); the remaining blocks are standard.
+    block, giving one cycle on coordinates 1..n1 (n1 = parts[0] + 1); the
+    point reads only u, the sign of its hop into coordinate 2: the parity of
+    the negative signs, negated by tprime.  The remaining blocks are
+    standard.
     """
     ell = datum.rank
     n1 = datum.parts[0] + 1
     parity = 1 if sum(1 for s in datum.signs if s < 0) % 2 == 0 else -1
-    if datum.delta == "s1":
-        u, v = parity, datum.signs[0]
-    else:  # tprime
-        u, v = -parity, -datum.signs[0]
+    u = parity if datum.delta == "s1" else -parity
     x: List[Optional[Q]] = [None] * ell
     x2 = Q(1)
     x[1] = x2
@@ -214,19 +206,16 @@ def _delta_witness_D(datum: GPDatum) -> Vector:
         lo = (xn + z) / 3
         b = (lo + xn) / 2
         x[n1] = xn - b
-        _run_blocks("B", x, datum.parts[1:], datum.signs[1:], n1 + 1)
+        _run_blocks("B", x, datum.parts[1:], n1 + 1)
     return tuple(x)  # type: ignore[arg-type]
 
 
 def _recipe_witness(datum: GPDatum) -> Vector:
     """The closed-form chamber point of a block representative (unchecked)."""
-    if datum.kind == "A":
-        return _chain_witness("A", datum.parts, datum.signs, datum.rank)
-    if datum.kind == "B":
-        return _chain_witness("B", datum.parts, datum.signs, datum.rank)
+    if datum.kind != "D":
+        return _chain_witness(datum.kind, datum.parts, datum.rank)
     if datum.delta == "one":
-        parity = 1 if sum(1 for s in datum.signs if s < 0) % 2 == 0 else -1
-        return _chain_witness("B", (1, *datum.parts), (parity, *datum.signs), datum.rank)
+        return _chain_witness("B", (1, *datum.parts), datum.rank)
     return _delta_witness_D(datum)
 
 

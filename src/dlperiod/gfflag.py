@@ -33,9 +33,11 @@ state the counter carries, so no leaf reduces its whole flag again.
 Walks take no cap: callers check the cap before they walk, by the one
 cap rule of the package (an int cap; CapacityError naming the count or
 a bound on it); the tally checks it on the complete flags, although its
-walk stops one level short of them.  The flag-at-a-time oracles (``rref``,
-``enumerate_flags``, ``relative_position``, ``semistable``) live in the
-test suite.
+walk stops one level short of them.  A family whose big Bruhat cell
+alone passes 2^16 bits is refused on that cell's size before its exact
+count, which costs about the square of its bits, is formed.  The
+flag-at-a-time oracles (``rref``, ``enumerate_flags``,
+``relative_position``, ``semistable``) live in the test suite.
 
 Permutations are one-line tuples of 0-based images.  A word for one is
 read in S_n = W(A_{n-1}) by :mod:`dlperiod.weyl`, with its grammar, and
@@ -334,7 +336,10 @@ class Field:
         return self.exp[(self.size - 1 - self.log[a]) % (self.size - 1)]
 
     def frob_map(self, q: int) -> Tuple[int, ...]:
-        """The table of x -> x^q; q must be a subfield order p^m, m | k."""
+        """The table of x -> x^q; q must be a subfield order p^m, m | k.  A
+        q above the field size is refused before it is factored."""
+        if type(q) is int and q > self.size:
+            raise _not_a_subfield(self, q)
         return _frob_table(self, q)
 
     def __eq__(self, other) -> bool:
@@ -347,40 +352,61 @@ class Field:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
-@lru_cache(maxsize=None)
+def _not_a_subfield(fld: Field, q: int) -> UsageError:
+    return UsageError(f"GF({q}) is not a subfield of GF({fld.p}^{fld.k})")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 or True must not find q = 2 or 1
 def _frob_table(fld: Field, q: int) -> Tuple[int, ...]:
     p, m = prime_power(q)
     if p != fld.p or fld.k % m != 0:
-        raise UsageError(f"GF({q}) is not a subfield of GF({fld.p}^{fld.k})")
+        raise _not_a_subfield(fld, q)
     order, exp = fld.size - 1, fld.exp
     table = [exp[a * q % order] for a in fld.log]
     table[0] = 0
     return tuple(table)
 
 
+def _power(b: int, k: int) -> int:
+    """b^k for ints b >= 2, k >= 1, cut at a power past 2^14285 > 10^4300,
+    which a refusal names by a true bound, so any k is quick."""
+    bits = 1 if b <= FIELD_CAP else b.bit_length() - 1  # 2^bits <= b; b^14285 up to the cap
+    return b ** min(k, -(-14285 // bits))
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find GF(3) or k = 1
 def field_build(p: int, k: int) -> Field:
-    """The canonical GF(p^k) for ints p, k; capped at p^k <= 2^16."""
-    if type(p) is not int or not _is_prime(p):
+    """The canonical GF(p^k) for ints p, k; capped at p^k <= 2^16.  A p
+    above the cap is refused by size before it is tested for primality."""
+    if type(p) is not int or not (p > FIELD_CAP or _is_prime(p)):
         raise UsageError(f"field characteristic must be prime, got {p!r}")
     if type(k) is not int or k < 1:
         raise UsageError(f"field degree must be >= 1, got {k!r}")
-    # 2^14285 > 10^4300: a power cut there is named by a true bound, so any k is quick
-    size = p ** min(k, 14285)
-    _check_size(size, FIELD_CAP, "field GF({p}^{k}) has {size} elements", p=p, k=k)
+    verb = "has" if p <= FIELD_CAP else "would have"
+    template = "field GF({p}^{k}) {verb} {size} elements"
+    _check_size(_power(p, k), FIELD_CAP, template, p=p, k=k, verb=verb)
     return Field(p, k)
+
+
+def _check_degree(e: int) -> None:
+    if type(e) is not int or e < 1:
+        raise UsageError(f"extension degree must be an integer >= 1, got {e!r}")
 
 
 def build_extension(q: int, e: int) -> Field:
     """GF(q^e) for a prime power q and an int e >= 1: the one check of the
-    cell (q, e) for every count."""
+    cell (q, e) for every count.  A q above the field cap is refused by
+    size before it is factored."""
+    if type(q) is int and q > FIELD_CAP:
+        _check_degree(e)
+        template = "field GF({q}^{e}) would have {size} elements"
+        _check_size(_power(q, e), FIELD_CAP, template, q=q, e=e)
     p, m = prime_power(q)
-    if type(e) is not int or e < 1:
-        raise UsageError(f"extension degree must be an integer >= 1, got {e!r}")
+    _check_degree(e)
     return field_build(p, m * e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find q = 3 or 1
 def rational_scalars(fld: Field, q: int) -> Tuple[int, ...]:
     """Elements of the q-element subfield (fixed points of x -> x^q)."""
     frob = fld.frob_map(q)
@@ -485,8 +511,17 @@ def _echelon_bases(
 
 
 def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
-    template = "flag family of type {dims} in dimension {n} over {fld!r} has {size} members"
-    _check_size(flag_count(n, dims, fld.size), cap, template, dims=dims, n=n, fld=fld)
+    """Refuse more flags of type dims than cap.  The big Bruhat cell alone
+    has Q^dim of them, dim that of the flag variety; past 2^16 bits any
+    cap below 2^(2^16) refuses on that bound, before the exact count."""
+    family = "flag family of type {dims} in dimension {n} over {fld!r} has "
+    fields = dict(dims=dims, n=n, fld=fld)
+    blocks = [b - a for a, b in zip((0, *dims), (*dims, n))]
+    dim = (n * n - sum(b * b for b in blocks)) // 2
+    if dim * (fld.size.bit_length() - 1) > 2**16:
+        template = family + "more than {Q}^{dim} members"
+        _check_size(2 ** 2**16, cap, template, Q=fld.size, dim=dim, **fields)
+    _check_size(flag_count(n, dims, fld.size), cap, family + "{size} members", **fields)
 
 
 def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:

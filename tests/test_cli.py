@@ -236,6 +236,25 @@ def test_package_imports_no_dataclass_machinery():
     assert proc.stdout == b"\n"
 
 
+@pytest.mark.parametrize("argv, tail", [
+    (("omega", "--n", "2", "--q", "2305843009213693951", "--e", "1"),
+     "error: field GF(2305843009213693951^1) would have 2305843009213693951 elements, "
+     "exceeding cap 65536\n"),
+    (("count-points", "--n", "20000", "--w", "s1", "--q", "2", "--e", "1"),
+     " in dimension 20000 over GF(2) has more than 2^199990000 members, exceeding cap 1000000\n"),
+], ids=["omega_prime_q", "count_points_n20000"])
+def test_large_inputs_are_refused_at_once(argv, tail):
+    # a q past the field cap is not factored, and a flag family whose big
+    # Bruhat cell alone is past the cap has its exact count left unformed
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dlperiod", *argv], capture_output=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode().endswith(tail)
+
+
 # sha256 of stdout per format, frozen from the Fraction-form implementation;
 # the integer forms must print the same bytes
 GOLDEN = [

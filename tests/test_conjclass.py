@@ -315,6 +315,48 @@ def test_gp_input_messages():
         assert str(err.value) == msg
 
 
+_PARTS = "parts must be a nonempty composition of positive integers"
+_SIGNS = "signs must be +-1, one per part"
+# a datum holds exact values: an int rank and tuples of int parts and signs
+INEXACT_DATA = {
+    "float_rank": (("A", 3.0, (3,), (1,)), "rank 3.0 is not an integer"),
+    "bool_rank": (("B", True, (1,), (1,)), "rank True is not an integer"),
+    "float_part": (("B", 3, (2.0, 1), (1, 1)), _PARTS),
+    "bool_part": (("B", 3, (True, 2), (1, 1)), _PARTS),
+    "scalar_parts": (("A", 3, 3, (1,)), _PARTS),
+    "float_sign": (("B", 3, (3,), (-1.0,)), _SIGNS),
+    "bool_sign": (("A", 3, (3,), (True,)), _SIGNS),
+    "scalar_signs": (("A", 3, (3,), 1), _SIGNS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INEXACT_DATA))
+def test_gp_datum_refuses_inexact_values(case):
+    args, msg = INEXACT_DATA[case]
+    with pytest.raises(UsageError) as err:
+        GPDatum(*args)
+    assert str(err.value) == msg
+
+
+def test_gp_datum_stores_sequences_as_tuples():
+    d = GPDatum("D", 5, [2, 2], [-1, 1], "s1")
+    assert d == GPDatum("D", 5, (2, 2), (-1, 1), "s1")
+    assert type(d.parts) is tuple and type(d.signs) is tuple
+    assert hash(d) == hash(GPDatum("D", 5, (2, 2), (-1, 1), "s1"))
+    assert gp_element(d) == gp_element(GPDatum("D", 5, (2, 2), (-1, 1), "s1"))
+
+
+def test_gp_element_answers_alike_cold_and_warm():
+    datum = GPDatum("A", 3, (3,), (1,))
+    gp_element.cache_clear()
+    for _ in range(2):  # cold, then with the datum's element cached
+        with pytest.raises(UsageError, match="rank 3.0 is not an integer"):
+            gp_element(GPDatum("A", 3.0, (3,), (1,)))
+        with pytest.raises(AttributeError):  # a plain tuple is no datum
+            gp_element(tuple(datum))
+        assert gp_element(datum) == from_word(gp_system(datum), "s1 s2")
+
+
 def test_gp_data_may_collide_as_elements():
     # the three delta variants are kept distinct even when two of them
     # produce the same group element

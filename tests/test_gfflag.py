@@ -1,5 +1,6 @@
 import hashlib
 import random
+import signal
 import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
@@ -21,6 +22,7 @@ from dlperiod.gfflag import (
     Cochar,
     Field,
     _dl_tally_cached,
+    _frob_table,
     _one_line,
     build_extension,
     cochar,
@@ -103,6 +105,25 @@ def test_frobenius_and_rational_scalars():
         build_extension(2, 17)  # over the field size cap
 
 
+def test_frobenius_answers_alike_cold_and_warm():
+    # a float or bool q never finds the table or the scalars of an int q
+    fld = field_build(3, 2)
+    _frob_table.cache_clear()
+    rational_scalars.cache_clear()
+    for _ in range(2):  # cold, then with q = 3 cached
+        for q in (3.0, True):
+            with pytest.raises(UsageError, match=f"q must be a prime power >= 2, got {q}"):
+                fld.frob_map(q)
+            with pytest.raises(UsageError, match=f"q must be a prime power >= 2, got {q}"):
+                rational_scalars(fld, q)
+        assert rational_scalars(fld, 3) == (0, 1, 2)
+
+
+def test_field_inverse_of_zero():
+    with pytest.raises(ZeroDivisionError, match="field inverse of 0"):
+        field_build(5, 1).inv(0)
+
+
 def test_field_equality_and_repr():
     assert build_extension(2, 2) == field_build(2, 2)
     assert repr(build_extension(3, 2)) == "GF(3^2)"
@@ -112,6 +133,7 @@ def test_gaussian_binomials_and_flag_counts():
     assert gaussian_binomial(3, 1, 2) == 7
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(3, 1, 3) == 13
+    assert gaussian_binomial(3, -1, 2) == gaussian_binomial(3, 4, 2) == 0
     assert flag_count(3, (1, 2), 2) == 21
     assert flag_count(3, (1, 2), 8) == 657
     assert flag_count(3, (1,), 4) == 21
@@ -287,6 +309,89 @@ def test_cap_messages(case):
     with pytest.raises(CapacityError) as err:
         call()
     assert str(err.value) == msg
+
+
+def _within(seconds, call):
+    """call(), or TimeoutError once it has run for `seconds`."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+BIG_PRIME = 2**61 - 1
+# refusals of sizes that are cheap to bound but costly to factor or count
+BOUNDED_REFUSALS = {
+    "field_p": (
+        lambda: field_build(BIG_PRIME, 1),
+        CapacityError,
+        f"field GF({BIG_PRIME}^1) would have {BIG_PRIME} elements, exceeding cap 65536",
+    ),
+    "extension_q": (
+        lambda: omega_point_count(2, BIG_PRIME, 1),
+        CapacityError,
+        f"field GF({BIG_PRIME}^1) would have {BIG_PRIME} elements, exceeding cap 65536",
+    ),
+    # a q above the cap is not factored, so no prime power check runs
+    "extension_not_prime_power": (
+        lambda: build_extension(100000, 1),
+        CapacityError,
+        "field GF(100000^1) would have 100000 elements, exceeding cap 65536",
+    ),
+    "extension_huge_degree": (
+        lambda: build_extension(2**17, 30_000_000),
+        CapacityError,
+        "field GF(131072^30000000) would have more than 2^14296 elements, exceeding cap 65536",
+    ),
+    "frob_q": (
+        lambda: field_build(2, 4).frob_map(BIG_PRIME),
+        UsageError,
+        f"GF({BIG_PRIME}) is not a subfield of GF(2^4)",
+    ),
+    "scalars_q": (
+        lambda: rational_scalars(field_build(2, 4), BIG_PRIME),
+        UsageError,
+        f"GF({BIG_PRIME}) is not a subfield of GF(2^4)",
+    ),
+    # the big Bruhat cell, 2^(n(n-1)/2) flags, bounds the count it is not worth forming
+    "count_n20000": (
+        lambda: dl_point_count(20000, 2, 1, "s1"),
+        CapacityError,
+        f"flag family of type {tuple(range(1, 20000))} in dimension 20000 over GF(2) "
+        "has more than 2^199990000 members, exceeding cap 1000000",
+    ),
+    "period_n400": (
+        lambda: period_point_count((1,) * 200 + (0,) * 200, 2, 2),
+        CapacityError,
+        "flag family of type (200,) in dimension 400 over GF(2^2) "
+        "has more than 4^40000 members, exceeding cap 1000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDED_REFUSALS))
+def test_refusals_run_in_bounded_time(case):
+    call, kind, msg = BOUNDED_REFUSALS[case]
+    with pytest.raises(kind) as err:
+        _within(5, call)
+    assert str(err.value) == msg
+
+
+def test_flag_cap_above_the_bound_takes_the_exact_count():
+    # a cap past 2^(2^16) is compared with the exact count, not the bound
+    exact = flag_count(400, (200,), 4)
+    with pytest.raises(CapacityError) as err:
+        period_point_count((1,) * 200 + (0,) * 200, 2, 2, cap=2 ** 2**16)
+    assert str(err.value) == (
+        "flag family of type (200,) in dimension 400 over GF(2^2) has more than "
+        f"2^{(exact - 1).bit_length() - 1} members, exceeding cap more than 2^65535"
+    )
 
 
 def test_count_refuses_before_reading_the_word():

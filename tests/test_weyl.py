@@ -88,6 +88,23 @@ def test_parse_word_forms():
         parse_word(build_root_system("B", 3), "sp1")  # needs paper5
 
 
+def test_extended_tokens_out_of_range():
+    cases = [
+        (build_root_system("A", 3, "paper5"), "sp4", "sp4 out of range for A3[paper5]"),
+        (build_root_system("D", 4, "paper5"), "sp3", "sp3 out of range for D4[paper5]"),
+    ]
+    for rs, token, msg in cases:
+        with pytest.raises(UsageError) as err:
+            parse_word(rs, token)
+        assert str(err.value) == msg
+
+
+def test_multiply_refuses_elements_of_two_systems():
+    a, b = build_root_system("A", 2), build_root_system("A", 2, "paper5")
+    with pytest.raises(UsageError, match="multiply: elements live in different systems"):
+        multiply(identity_elem(a), identity_elem(b))
+
+
 def test_word_input_messages():
     # positions are ints only: a bool is a token like any other, a float
     # position and a word or a map that is no sequence are refused
