@@ -52,6 +52,15 @@ def _check_size(size: int, cap: int, template: str, **fields) -> None:
         raise CapacityError((template + ", exceeding cap {cap}").format(**named))
 
 
+def _check_power(base: int, exp: int, cap: int, template: str, **fields) -> None:
+    """`_check_size` on base^exp, a lower bound of a size not yet formed:
+    past 2^16 bits any cap below 2^(2^16) refuses on it, naming the size
+    "more than base^exp"; a smaller bound leaves the exact size to check."""
+    if exp * (base.bit_length() - 1) > 2**16:
+        bound = template.replace("{size}", "more than {base}^{exp}")
+        _check_size(2 ** 2**16, cap, bound, base=base, exp=exp, **fields)
+
+
 __version__ = "0.1.0"
 
 __all__ = ["DEFAULT_CAP", "UsageError", "CapacityError", "__version__"]

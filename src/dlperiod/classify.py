@@ -34,7 +34,7 @@ from math import comb, factorial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import DEFAULT_CAP, UsageError, _check_size
-from .gfflag import Cochar, _symmetric, cochar, nu_jump_dims, prime_power
+from .gfflag import Cochar, _checked_prime_power, _symmetric, cochar, nu_jump_dims
 from .rootsys import parabolic_dim
 from .weyl import WeylElem, enumerate_group, reduced_word, word_names
 
@@ -210,11 +210,12 @@ def classification_scan(
     Every factor tuple of symmetric-group elements is paired with every
     tuple of weakly decreasing cocharacter vectors with entries in
     [0, nu_bound].  q is recorded into the records (the verdict chain is
-    q-independent) after a prime-power sanity check.  Raises
+    q-independent) after the prime-power check of every count, which
+    refuses a q above the field cap by size before factoring it.  Raises
     CapacityError before building anything when the scan would hold more
     than `dlperiod.DEFAULT_CAP` records.
     """
-    prime_power(q)
+    _checked_prime_power(q, 1)
     if (
         any(type(x) is not int for x in (n_max, t_max, nu_bound))
         or n_max < 2 or t_max < 1 or nu_bound < 0

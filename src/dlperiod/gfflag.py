@@ -76,7 +76,7 @@ from itertools import combinations, product as iproduct
 from operator import xor
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import DEFAULT_CAP, UsageError, _check_size
+from . import DEFAULT_CAP, UsageError, _check_power, _check_size
 from .rootsys import RootSystem, build_root_system
 from .weyl import WeylElem, coxeter_standard, from_word
 
@@ -393,15 +393,20 @@ def _check_degree(e: int) -> None:
         raise UsageError(f"extension degree must be an integer >= 1, got {e!r}")
 
 
-def build_extension(q: int, e: int) -> Field:
-    """GF(q^e) for a prime power q and an int e >= 1: the one check of the
-    cell (q, e) for every count.  A q above the field cap is refused by
-    size before it is factored."""
+def _checked_prime_power(q: int, e: int) -> Tuple[int, int]:
+    """prime_power(q) for the cell (q, e); a q above the field cap is
+    refused by the size of GF(q^e) before it is factored."""
     if type(q) is int and q > FIELD_CAP:
         _check_degree(e)
         template = "field GF({q}^{e}) would have {size} elements"
         _check_size(_power(q, e), FIELD_CAP, template, q=q, e=e)
-    p, m = prime_power(q)
+    return prime_power(q)
+
+
+def build_extension(q: int, e: int) -> Field:
+    """GF(q^e) for a prime power q and an int e >= 1: the one check of the
+    cell (q, e) for every count."""
+    p, m = _checked_prime_power(q, e)
     _check_degree(e)
     return field_build(p, m * e)
 
@@ -512,16 +517,13 @@ def _echelon_bases(
 
 def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
     """Refuse more flags of type dims than cap.  The big Bruhat cell alone
-    has Q^dim of them, dim that of the flag variety; past 2^16 bits any
-    cap below 2^(2^16) refuses on that bound, before the exact count."""
-    family = "flag family of type {dims} in dimension {n} over {fld!r} has "
+    has Q^dim of them, dim that of the flag variety, a bound checked first."""
+    template = "flag family of type {dims} in dimension {n} over {fld!r} has {size} members"
     fields = dict(dims=dims, n=n, fld=fld)
     blocks = [b - a for a, b in zip((0, *dims), (*dims, n))]
     dim = (n * n - sum(b * b for b in blocks)) // 2
-    if dim * (fld.size.bit_length() - 1) > 2**16:
-        template = family + "more than {Q}^{dim} members"
-        _check_size(2 ** 2**16, cap, template, Q=fld.size, dim=dim, **fields)
-    _check_size(flag_count(n, dims, fld.size), cap, family + "{size} members", **fields)
+    _check_power(fld.size, dim, cap, template, **fields)
+    _check_size(flag_count(n, dims, fld.size), cap, template, **fields)
 
 
 def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:
@@ -740,8 +742,9 @@ def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_CAP) -> int:
     of the flag machinery above."""
     fld = _cell(n, q, e)
     size = fld.size
-    npoints = (size**n - 1) // (size - 1)
-    _check_size(npoints, cap, "projective space over {fld!r} has {size} points", fld=fld)
+    template = "projective space over {fld!r} has {size} points"
+    _check_power(size, n - 1, cap, template, fld=fld)  # Q^(n-1) of them have x_1 = 1
+    _check_size((size**n - 1) // (size - 1), cap, template, fld=fld)
     scal = rational_scalars(fld, q)
     add = fld.add
     rows = {s: tuple([fld.mul(s, x) for x in range(size)]) for s in scal}

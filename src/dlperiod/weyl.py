@@ -253,14 +253,13 @@ def _sp_expansion(rs: RootSystem, k: int) -> Word:
             raise UsageError(f"sp{k} out of range for {rs}")
         # s_k ... s_1 t s_1 ... s_k  (t at position 0, s_i at position i)
         return tuple(range(k, 0, -1)) + (0,) + tuple(range(1, k + 1))
-    if rs.kind == "D":
-        if not 0 <= k <= rs.rank - 2:
-            raise UsageError(f"sp{k} out of range for {rs}")
-        if k == 0:
-            return (0, 1)  # tp s1
-        # s_{k+1} ... s_2 (tp s1) s_2 ... s_{k+1}
-        return tuple(range(k + 1, 1, -1)) + (0, 1) + tuple(range(2, k + 2))
-    raise UsageError(f"extended token sp{k} undefined for kind {rs.kind}")
+    # kind D, the last with a paper5 profile
+    if not 0 <= k <= rs.rank - 2:
+        raise UsageError(f"sp{k} out of range for {rs}")
+    if k == 0:
+        return (0, 1)  # tp s1
+    # s_{k+1} ... s_2 (tp s1) s_2 ... s_{k+1}
+    return tuple(range(k + 1, 1, -1)) + (0, 1) + tuple(range(2, k + 2))
 
 
 def parse_word(rs: RootSystem, word: WordLike) -> Word:

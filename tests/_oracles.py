@@ -12,7 +12,10 @@ The flag helpers at the end (`Flag`, `rref`, `enumerate_flags`,
 `gfflag` counts in bulk.  They call its echelon step `_extender` and its
 flag walk `_walk`, and read its rank-matrix helpers, caps and
 cocharacter checks.
+
+`within` runs a call under a time bound, for refusals that must be quick.
 """
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +38,20 @@ from dlperiod.gfflag import (
 )
 
 Q = Fraction
+
+
+def within(seconds, call):
+    """call(), or TimeoutError once it has run for `seconds`."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _rref(rows):

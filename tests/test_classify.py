@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement, groupby
 
 import pytest
 
+from _oracles import within
 from dlperiod import CapacityError, UsageError
 from dlperiod.classify import (
     GroupSpec,
@@ -270,3 +271,12 @@ def test_scan_cap():
         "classification scan (5, 2, 2) needs at least 6486696 records, exceeding cap 1000000"
     )
     assert len(classification_scan(4, 2, 2, 2)) == 133776
+
+
+def test_scan_refuses_a_big_q_by_size():
+    # 2^61 - 1 is past the field cap: the size rule of every count refuses
+    # it before trial division would take seconds to factor it
+    q = 2**61 - 1
+    with pytest.raises(CapacityError) as err:
+        within(5, lambda: classification_scan(2, 1, q, 1))
+    assert str(err.value) == f"field GF({q}^1) would have {q} elements, exceeding cap 65536"

@@ -1,6 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -369,6 +371,39 @@ def test_gp_data_may_collide_as_elements():
     assert len(mats) + dups == 54
 
 
-def test_blocks_commute_everywhere_d5():
-    for d in gp_enumerate("D", 5):
-        gp_element(d)  # raises AssertionError inside if a pair fails
+GP_CELLS = [("A", r) for r in range(2, 9)] + [("B", r) for r in range(2, 8)] + [
+    ("D", r) for r in range(4, 8)
+]
+DELTA_WORDS = {"one": (), "s1": ("s1",), "tprime": ("tp",)}
+
+
+def split_blocks(d):
+    """d's block words, read from its parts and signs alone: a part of the
+    given size after c earlier coordinates holds the cycle s_(f+c) ...
+    s_(f+c+size-2), f the first coordinate a part may hold (2 in kind D,
+    where coordinate 1 is special), and a negative part starts with sp<c>,
+    the sign change on its first coordinate (kind D: and on coordinate 1)."""
+    f = 2 if d.kind == "D" else 1
+    blocks, c = [], 0
+    for size, sign in zip(d.parts, d.signs):
+        cycle = tuple(f"s{i}" for i in range(f + c, f + c + size - 1))
+        blocks.append(cycle if sign == 1 else (f"sp{c}", *cycle))
+        c += size
+    return blocks
+
+
+def test_blocks_commute_everywhere():
+    # gp_element is the product of the construction word and takes the
+    # blocks' commutation from the construction; every datum checks it here
+    count = 0
+    for kind, rank in GP_CELLS:
+        for d in gp_enumerate(kind, rank):
+            rs, blocks = gp_system(d), split_blocks(d)
+            assert DELTA_WORDS[d.delta] + sum(blocks, ()) == gp_word_tokens(d), str(d)
+            elems = [from_word(rs, b) for b in blocks]
+            for a, b in combinations(elems, 2):
+                assert multiply(a, b) == multiply(b, a), str(d)
+            delta = from_word(rs, DELTA_WORDS[d.delta])
+            assert reduce(multiply, elems, delta) == gp_element(d), str(d)
+            count += 1
+    assert count == 4598

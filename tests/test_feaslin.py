@@ -94,6 +94,9 @@ def test_form_coefficients_and_labels():
     assert f.label == "1/2*x1 - 1/3*x2"
     # the label may name another vector over the same denominator
     assert LinearForm((3, -2), 6, "crit:", (2, 0)).label == "crit:1/3*x1"
+    assert repr(LinearForm((3, -2), 6, "crit:", (2, 0))) == (
+        "LinearForm(coeffs=(Fraction(1, 2), Fraction(-1, 3)), label='crit:1/3*x1')"
+    )
     assert LinearForm((1, 1, 0, 0), 1, "base:").label == "base:x1 + x2"
     assert LinearForm((0, 0)).label == "0"
     assert form_label((Q(2), Q(0), Q(-1, 2))) == "2*x1 - 1/2*x3"

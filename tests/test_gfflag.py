@@ -1,6 +1,5 @@
 import hashlib
 import random
-import signal
 import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
@@ -16,6 +15,7 @@ from _oracles import (
     relative_position,
     rref,
     semistable,
+    within,
 )
 from dlperiod import DEFAULT_CAP, CapacityError, UsageError
 from dlperiod.gfflag import (
@@ -311,20 +311,6 @@ def test_cap_messages(case):
     assert str(err.value) == msg
 
 
-def _within(seconds, call):
-    """call(), or TimeoutError once it has run for `seconds`."""
-    def stop(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(seconds)
-    try:
-        return call()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 BIG_PRIME = 2**61 - 1
 # refusals of sizes that are cheap to bound but costly to factor or count
 BOUNDED_REFUSALS = {
@@ -372,6 +358,12 @@ BOUNDED_REFUSALS = {
         "flag family of type (200,) in dimension 400 over GF(2^2) "
         "has more than 4^40000 members, exceeding cap 1000000",
     ),
+    # Q^(n-1) points have first coordinate 1, a bound on the exact count
+    "omega_n1000000": (
+        lambda: omega_point_count(10**6, 3, 10),
+        CapacityError,
+        "projective space over GF(3^10) has more than 59049^999999 points, exceeding cap 1000000",
+    ),
 }
 
 
@@ -379,7 +371,7 @@ BOUNDED_REFUSALS = {
 def test_refusals_run_in_bounded_time(case):
     call, kind, msg = BOUNDED_REFUSALS[case]
     with pytest.raises(kind) as err:
-        _within(5, call)
+        within(5, call)
     assert str(err.value) == msg
 
 

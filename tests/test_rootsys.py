@@ -225,6 +225,9 @@ def test_interning():
     assert rs == build_root_system("B", 3) and rs != build_root_system("B", 3, "paper5")
     with pytest.raises(AttributeError):
         rs.rank = 4
+    with pytest.raises(AttributeError, match="RootSystem is read-only; cannot delete 'kind'"):
+        del rs.kind
+    assert rs.kind == "B"
     assert repr(rs) == "RootSystem(kind='B', rank=3, profile='bourbaki')"
 
 

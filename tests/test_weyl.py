@@ -293,6 +293,9 @@ def test_elements_are_read_only_values():
         a.perm = b.perm
     with pytest.raises(AttributeError):
         a.extra = 1
+    with pytest.raises(AttributeError, match="WeylElem is read-only; cannot delete 'perm'"):
+        del a.perm
+    assert a == b
     assert repr(a) == f"WeylElem(rs=RootSystem(kind='G', rank=2, profile='bourbaki'), perm={a.perm})"
 
 
