@@ -34,7 +34,8 @@ from math import comb, factorial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import DEFAULT_CAP, UsageError, _check_size
-from .gfflag import Cochar, _checked_prime_power, _symmetric, cochar, nu_jump_dims
+from .gffield import _checked_prime_power
+from .gfflag import Cochar, _symmetric, cochar, nu_jump_dims
 from .rootsys import parabolic_dim
 from .weyl import WeylElem, enumerate_group, reduced_word, word_names
 

@@ -9,9 +9,9 @@ and `reflect` applies the reflection in a root by the textbook formula.
 
 The flag helpers at the end (`Flag`, `rref`, `enumerate_flags`,
 `relative_position`, `semistable`, ...) decide one flag at a time what
-`gfflag` counts in bulk.  They call its echelon step `_extender` and its
-flag walk `_walk`, and read its rank-matrix helpers, caps and
-cocharacter checks.
+`gfflag` counts in bulk.  They call the echelon step `_extender` of
+`gffield` and the flag walk `_walk` of `gfflag`, and read gfflag's
+rank-matrix helpers, caps and cocharacter checks.
 
 `within` runs a call under a time bound, for refusals that must be quick.
 """
@@ -22,19 +22,17 @@ from functools import lru_cache
 from itertools import combinations
 
 from dlperiod import DEFAULT_CAP, UsageError
+from dlperiod.gffield import _extender, prime_power, rational_scalars
 from dlperiod.gfflag import (
     _check_cap,
     _check_subspace_cap,
     _echelon_bases,
-    _extender,
     _perm_from_ranks,
     _rank_frame,
     _single_nu,
     _walk,
     complete_dims,
     nu_jump_dims,
-    prime_power,
-    rational_scalars,
 )
 
 Q = Fraction

@@ -17,12 +17,12 @@ from _oracles import (
     semistable,
     within,
 )
-from dlperiod import DEFAULT_CAP, CapacityError, UsageError
+from dlperiod import DEFAULT_CAP, CapacityError, UsageError, gffield, gfflag
+from dlperiod.gffield import _VALUES, _digit_sums, _frob_table
 from dlperiod.gfflag import (
     Cochar,
     Field,
     _dl_tally_cached,
-    _frob_table,
     _one_line,
     build_extension,
     cochar,
@@ -737,6 +737,38 @@ def test_field_tables_pinned(p, k):
     assert (fld.exp[1] if fld.size > 2 else None) == g
     assert _digest(fld.exp) == exp_digest
     assert _digest(fld.frob_map(p)) == frob_digest
+
+
+def test_fields_share_one_int_object_per_value():
+    # exp, log and the Frobenius table hold the pool's object for each value
+    # (log[0] = -1 marks zero), so two fields hold a common value once
+    fields = [field_build(2, 13), field_build(3, 8)]
+    for fld in fields:
+        for table in (fld.exp, fld.log[1:], fld.frob_map(fld.p)):
+            assert all(v is _VALUES[v] for v in table)
+    small, big = sorted(fields, key=lambda fld: fld.size)
+    for v in range(1, small.size):
+        assert small.exp[small.log[v]] is big.exp[big.log[v]]
+
+
+def test_digit_sums_are_built_once_per_shape():
+    # GF(3^7) and GF(3^8) both add in two chunks of four digits
+    Field(3, 7)
+    misses = _digit_sums.cache_info().misses
+    Field(3, 8)
+    assert _digit_sums.cache_info().misses == misses
+
+
+def test_gfflag_reexports_the_field_layer():
+    assert set(gfflag.__all__) == {
+        "Cochar", "Field", "build_extension", "complete_dims", "coxeter_perm",
+        "dl_point_count", "dl_point_tally", "field_build", "flag_count",
+        "gaussian_binomial", "omega_point_count", "perm_from_word",
+        "period_point_count", "prime_power", "rational_scalars",
+    }
+    assert set(gffield.__all__) < set(gfflag.__all__)
+    for name in gffield.__all__:
+        assert getattr(gfflag, name) is getattr(gffield, name)
 
 
 @pytest.mark.parametrize("p,k", list(FIELD_TABLES))

@@ -52,7 +52,7 @@ def test_one_default_cap():
         for path in sorted((ROOT / "src").rglob("*.py"))
         for name in _cap_names(path.read_text())
     }
-    assert found == {"dlperiod/__init__.py:DEFAULT_CAP", "dlperiod/gfflag.py:FIELD_CAP"}
+    assert found == {"dlperiod/__init__.py:DEFAULT_CAP", "dlperiod/gffield.py:FIELD_CAP"}
     assert DEFAULT_CAP == 10**6
 
 
