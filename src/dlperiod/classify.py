@@ -35,8 +35,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import DEFAULT_CAP, UsageError, _check_size
 from .gffield import _checked_prime_power
-from .gfflag import Cochar, _symmetric, cochar, nu_jump_dims
-from .rootsys import parabolic_dim
+from .gfflag import Cochar, _flag_dim, _symmetric, cochar, nu_jump_dims
 from .weyl import WeylElem, enumerate_group, reduced_word, word_names
 
 __all__ = [
@@ -128,10 +127,8 @@ def _nu_stats(v: Tuple[int, ...]) -> Tuple[int, Optional[str]]:
     lower."""
     n = len(v)
     jumps = nu_jump_dims(v)
-    if not jumps:
-        return 0, None
     side = "lower" if jumps == (1,) else "upper" if jumps == (n - 1,) else None
-    return parabolic_dim(_symmetric(n), jumps), side
+    return _flag_dim(n, jumps), side
 
 
 def pd_dimension(spec: GroupSpec, nu) -> int:

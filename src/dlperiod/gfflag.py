@@ -35,9 +35,10 @@ Three counters are exposed:
   chains tells apart, so every leaf class is one rank matrix counted with
   multiplicity and no leaf is extended.
 * ``omega_point_count`` — projective points avoiding every hyperplane
-  rational over the q-element subfield (an independent computation, used
-  to cross-identify the distinguished cell of the first counter); each
-  point-hyperplane test reads one product row per rational scalar;
+  rational over the q-element subfield, used to cross-identify the
+  distinguished cell of the first counter: the points with
+  GF(q)-independent coordinates, prod_{i=1}^{n-1} (Q - q^i) of them (the
+  test suite keeps the point-by-point enumeration as its oracle);
 * ``period_point_count`` — flags of a fixed type that are semistable for
   a weakly decreasing integer vector: no rational subspace U has slope
   above the total.  Both caps (flags, then rational subspaces) are checked
@@ -50,12 +51,14 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, product as iproduct
+from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import DEFAULT_CAP, UsageError, _check_power, _check_size
 from .gffield import (
     Field,
     State,
+    _VALUES,
     _extender,
     build_extension,
     field_build,
@@ -82,9 +85,6 @@ __all__ = [
     "prime_power",
     "rational_scalars",
 ]
-
-Row = Tuple[int, ...]
-
 
 # ---------------------------------------------------------------------------
 # flags
@@ -137,14 +137,19 @@ def _echelon_bases(
             yield tuple((cols[pivs[i]], tuple(rows[i])) for i in range(s))
 
 
+def _flag_dim(n: int, dims: Sequence[int]) -> int:
+    """Dimension of the variety of flags of type dims in an n-space:
+    (n^2 - sum of the squared block sizes) / 2."""
+    blocks = [b - a for a, b in zip((0, *dims), (*dims, n))]
+    return (n * n - sum(b * b for b in blocks)) // 2
+
+
 def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
     """Refuse more flags of type dims than cap.  The big Bruhat cell alone
     has Q^dim of them, dim that of the flag variety, a bound checked first."""
     template = "flag family of type {dims} in dimension {n} over {fld!r} has {size} members"
     fields = dict(dims=dims, n=n, fld=fld)
-    blocks = [b - a for a, b in zip((0, *dims), (*dims, n))]
-    dim = (n * n - sum(b * b for b in blocks)) // 2
-    _check_power(fld.size, dim, cap, template, **fields)
+    _check_power(fld.size, _flag_dim(n, dims), cap, template, **fields)
     _check_size(flag_count(n, dims, fld.size), cap, template, **fields)
 
 
@@ -159,7 +164,7 @@ def _walk(fld: Field, n: int, dims: Tuple[int, ...], enter, root) -> Iterator:
     if not dims:
         yield root
         return
-    pool = tuple(range(fld.size))
+    pool = _VALUES[:fld.size]
     last = len(dims) - 1
 
     def rec(depth: int, state: State, ctx) -> Iterator:
@@ -364,35 +369,19 @@ def dl_point_count(
 def omega_point_count(n: int, q: int, e: int, cap: int = DEFAULT_CAP) -> int:
     """Projective points over GF(q^e) avoiding all GF(q)-rational hyperplanes.
 
-    Written directly against normalized coordinate vectors — independent
-    of the flag machinery above."""
+    A point lies on one exactly when a nonzero GF(q)-combination of its
+    coordinates vanishes, so Omega is the set of points whose coordinates
+    are GF(q)-linearly independent.  Such a point has x_1 != 0; scaled to
+    x_1 = 1, each later x_i is one of the Q - q^(i-1) values off the span
+    of those before it (Q = q^e), hence prod_{i=1}^{n-1} (Q - q^i) points,
+    counted with no field arithmetic.  The point caps are checked first.
+    ``omega_by_points`` in the test suite enumerates the points instead."""
     fld = _cell(n, q, e)
     size = fld.size
     template = "projective space over {fld!r} has {size} points"
     _check_power(size, n - 1, cap, template, fld=fld)  # Q^(n-1) of them have x_1 = 1
     _check_size((size**n - 1) // (size - 1), cap, template, fld=fld)
-    scal = rational_scalars(fld, q)
-    add = fld.add
-    rows = {s: tuple([fld.mul(s, x) for x in range(size)]) for s in scal}
-
-    def normalized(pool: Sequence[int]) -> Iterator[Row]:
-        for lead in range(n):
-            for tail in iproduct(pool, repeat=n - 1 - lead):
-                yield (0,) * lead + (1,) + tail
-
-    # each hyperplane as (coordinate, product row) over its nonzero entries
-    hyperplanes = [[(i, rows[a]) for i, a in enumerate(h) if a] for h in normalized(scal)]
-    count = 0
-    for pt in normalized(tuple(range(size))):
-        for h in hyperplanes:
-            acc = 0
-            for i, row in h:
-                acc = add(acc, row[pt[i]])
-            if not acc:
-                break
-        else:
-            count += 1
-    return count
+    return prod(size - q**i for i in range(1, n))
 
 
 # ---------------------------------------------------------------------------

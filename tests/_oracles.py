@@ -11,7 +11,9 @@ The flag helpers at the end (`Flag`, `rref`, `enumerate_flags`,
 `relative_position`, `semistable`, ...) decide one flag at a time what
 `gfflag` counts in bulk.  They call the echelon step `_extender` of
 `gffield` and the flag walk `_walk` of `gfflag`, and read gfflag's
-rank-matrix helpers, caps and cocharacter checks.
+rank-matrix helpers, caps and cocharacter checks.  `omega_by_points`
+tests every projective point against every rational hyperplane through
+the field tables, where `gfflag` counts Omega by a product formula.
 
 `within` runs a call under a time bound, for refusals that must be quick.
 """
@@ -19,11 +21,12 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
-from dlperiod import DEFAULT_CAP, UsageError
+from dlperiod import DEFAULT_CAP, UsageError, _check_power, _check_size
 from dlperiod.gffield import _extender, prime_power, rational_scalars
 from dlperiod.gfflag import (
+    _cell,
     _check_cap,
     _check_subspace_cap,
     _echelon_bases,
@@ -292,6 +295,40 @@ def relative_position(f, g):
                 state = extend(state, row)
             rank[i][j] = len(state)
     return _perm_from_ranks(rank, f.n)
+
+
+def omega_by_points(n, q, e, cap=DEFAULT_CAP):
+    """Projective points over GF(q^e) avoiding all GF(q)-rational hyperplanes.
+
+    Written directly against normalized coordinate vectors — independent
+    of the flag machinery and of gfflag's product formula."""
+    fld = _cell(n, q, e)
+    size = fld.size
+    template = "projective space over {fld!r} has {size} points"
+    _check_power(size, n - 1, cap, template, fld=fld)  # Q^(n-1) of them have x_1 = 1
+    _check_size((size**n - 1) // (size - 1), cap, template, fld=fld)
+    scal = rational_scalars(fld, q)
+    add = fld.add
+    rows = {s: tuple([fld.mul(s, x) for x in range(size)]) for s in scal}
+
+    def normalized(pool):
+        for lead in range(n):
+            for tail in iproduct(pool, repeat=n - 1 - lead):
+                yield (0,) * lead + (1,) + tail
+
+    # each hyperplane as (coordinate, product row) over its nonzero entries
+    hyperplanes = [[(i, rows[a]) for i, a in enumerate(h) if a] for h in normalized(scal)]
+    count = 0
+    for pt in normalized(tuple(range(size))):
+        for h in hyperplanes:
+            acc = 0
+            for i, row in h:
+                acc = add(acc, row[pt[i]])
+            if not acc:
+                break
+        else:
+            count += 1
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,15 @@ from dlperiod.classify import (
     res_coxeter_check,
     theorem_verdict,
 )
-from dlperiod.gfflag import cochar, dl_point_count, perm_from_word, period_point_count
-from dlperiod.rootsys import build_root_system
+from dlperiod.gfflag import (
+    _symmetric,
+    cochar,
+    dl_point_count,
+    nu_jump_dims,
+    perm_from_word,
+    period_point_count,
+)
+from dlperiod.rootsys import build_root_system, parabolic_dim
 from dlperiod.weyl import from_word, identity_elem
 
 
@@ -149,6 +156,15 @@ def test_nonscalar_weights_have_dim_at_least_rank():
             else:
                 assert dim >= n - 1, v
                 assert (side is not None) == (dim == n - 1), v
+
+
+def test_nu_dim_matches_parabolic_dim():
+    # the block-size formula against the positive roots of A_{n-1} supported
+    # on a removed node
+    for n in range(2, 9):
+        rs = _symmetric(n)
+        for v in combinations_with_replacement(range(3, -1, -1), n):
+            assert _nu_stats(v)[0] == parabolic_dim(rs, nu_jump_dims(v)), v
 
 
 def test_scan_small_frozen():

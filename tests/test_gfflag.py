@@ -12,18 +12,20 @@ from _oracles import (
     enumerate_flags,
     flag_from_chain,
     frobenius_flag,
+    omega_by_points,
     relative_position,
     rref,
     semistable,
     within,
 )
 from dlperiod import DEFAULT_CAP, CapacityError, UsageError, gffield, gfflag
-from dlperiod.gffield import _VALUES, _digit_sums, _frob_table
+from dlperiod.gffield import FIELD_CAP, _VALUES, _digit_sums, _frob_table
 from dlperiod.gfflag import (
     Cochar,
     Field,
     _dl_tally_cached,
     _one_line,
+    _walk,
     build_extension,
     cochar,
     complete_dims,
@@ -751,6 +753,19 @@ def test_fields_share_one_int_object_per_value():
         assert small.exp[small.log[v]] is big.exp[big.log[v]]
 
 
+def test_walk_takes_its_entries_from_the_value_pool():
+    # GF(2^9) has values above 256, which CPython does not share by itself
+    fld = field_build(2, 9)
+    rows = []
+
+    def enter(depth, new_rows, state, ctx):
+        rows.extend(new_rows)
+
+    list(_walk(fld, 2, (1,), enter, None))
+    assert len(rows) == fld.size + 1  # the lines of GF(2^9)^2
+    assert all(v is _VALUES[v] for row in rows for v in row)
+
+
 def test_digit_sums_are_built_once_per_shape():
     # GF(3^7) and GF(3^8) both add in two chunks of four digits
     Field(3, 7)
@@ -984,8 +999,30 @@ def test_coxeter_cell_matches_moebius_closed_form(n, q, e, count):
     "n,q,e", [(2, 3, 7), (2, 5, 5), (2, 7, 4), (3, 3, 3), (4, 2, 3)]
 )
 def test_omega_count_matches_moebius_closed_form(n, q, e):
-    # GF(3^7), GF(5^5) and GF(7^4) add chunk by chunk
-    assert omega_point_count(n, q, e) == _omega_closed_form(n, q, e)
+    # through the oracle, GF(3^7), GF(5^5) and GF(7^4) add chunk by chunk
+    count = omega_point_count(n, q, e)
+    assert count == omega_by_points(n, q, e) == _omega_closed_form(n, q, e)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_omega_product_matches_moebius_closed_form_on_every_field(q):
+    # every degree the field cap admits; a cell past BIG_CAP points is refused
+    e = 1
+    while q**e <= FIELD_CAP:
+        big = q**e
+        for n in range(2, 9):
+            if (big**n - 1) // (big - 1) <= BIG_CAP:
+                assert omega_point_count(n, q, e, cap=BIG_CAP) == _omega_closed_form(n, q, e)
+            else:
+                with pytest.raises(CapacityError):
+                    omega_point_count(n, q, e, cap=BIG_CAP)
+        e += 1
+
+
+def test_omega_count_past_the_enumeration():
+    # about 1.9 * 10^25 points of P^7(GF(2^12)) have x_1 = 1
+    count = within(5, lambda: omega_point_count(8, 2, 12, cap=BIG_CAP))
+    assert count == 18_167_718_822_006_802_486_394_880
 
 
 @pytest.mark.parametrize("n,q", [(3, 5), (3, 7), (4, 3)])
