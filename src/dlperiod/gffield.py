@@ -13,12 +13,13 @@ tables built by additivity.  Addition is XOR in characteristic 2 and
 otherwise reads one digit-built table of at most 256 rows (over all digits
 up to 256 elements, else chunk by chunk; a larger prime field adds mod p),
 each row a block rotation of a row built from the digits below and held
-as `bytes` (entries are below 256), so the flag loops of
-:mod:`dlperiod.gfflag` stay integer-only and the garbage collector has no
-int tuples to scan.  A field stores only exp, log and add: negation is a
-log shift by (Q - 1)/2, since -1 = g^((Q-1)/2) for odd p (and -a = a for
-p = 2).  Every field writes exp and log with one shared int object per
-value, so no two fields hold the same number twice.
+as `bytes` (entries are below 256), so the echelon steps of the
+flag-at-a-time oracles in the test suite stay integer-only and the
+garbage collector has no int tuples to scan.  A field stores only exp,
+log and add: negation is a log shift by (Q - 1)/2, since -1 =
+g^((Q-1)/2) for odd p (and -a = a for p = 2).  Every field writes exp
+and log with one shared int object per value, so no two fields hold the
+same number twice.
 
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1

@@ -9,12 +9,12 @@ flag is produced exactly once.  Every node hands its subtree whatever
 state the counter carries, so no leaf reduces its whole flag again.
 Walks take no cap: callers check the cap before they walk, by the one
 cap rule of the package (an int cap; CapacityError naming the count or
-a bound on it); the tally checks it on the complete flags, although its
-walk stops one level short of them.  A family whose big Bruhat cell
-alone passes 2^16 bits is refused on that cell's size before its exact
-count, which costs about the square of its bits, is formed.  The
-flag-at-a-time oracles (``rref``, ``enumerate_flags``,
-``relative_position``, ``semistable``) live in the test suite.
+a bound on it).  The counts check the flag cap too, although none of
+them walks a flag.  A family whose big Bruhat cell alone passes 2^16
+bits is refused on that cell's size before its exact count, which costs
+about the square of its bits, is formed.  The flag-at-a-time oracles
+(``rref``, ``enumerate_flags``, ``relative_position``, ``semistable``)
+live in the test suite and walk the flags with ``_walk``.
 
 Permutations are one-line tuples of 0-based images.  A word for one is
 read in S_n = W(A_{n-1}) by :mod:`dlperiod.weyl`, with its grammar, and
@@ -24,16 +24,20 @@ the one-line form is read off the images of the simple roots
 Three counters are exposed:
 
 * ``dl_point_count`` — complete flags whose relative position against
-  their q-power Frobenius image is a prescribed permutation.  The walk
-  keeps the states of F_i + Frob(F)_j and writes the ranks with
-  max(i, j) = k at depth k; a complete flag's permutation is read from the
-  second differences of the rank matrix.  The walk stops at V_{n-2}: the
-  Q + 1 hyperplanes over it (Q = q^e) differ in their last ranks only by
-  how many of Frob^-1 V_i and Frob V_j they contain and by whether they
-  are rational.  The node's ranks give those counts for all but at most
-  two special hyperplanes, which one echelon step each along the two
-  chains tells apart, so every leaf class is one rank matrix counted with
-  multiplicity and no leaf is extended.
+  their q-power Frobenius image is a prescribed permutation w, the points
+  of the Deligne-Lusztig variety X(w) over GF(Q), Q = q^e.  Each w of S_n
+  is reduced by cyclic shifts x -> s x s that never raise the length
+  (``conjclass.reduce_to_minimal``).  A shift of equal length keeps the
+  count; one that drops the length by two gives #X(x) = Q #X(sxs) +
+  (Q - 1) #X(sx) (Deligne-Lusztig, Ann. of Math. 103 (1976), Thm 1.6).
+  The chain ends at an element of least length in its class
+  (Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+  Algebras (2000), Thm 3.2.9), in S_n a Coxeter element of the standard
+  Levi whose blocks, of sizes mu, are its minimal stable intervals; it
+  has [n; mu]_q prod_blocks prod_{i=1}^{m-1} (Q - q^i) points, the
+  rational parabolics of that type times Drinfeld's count on each block.
+  No field arithmetic is done, and the group walk refuses S_n past the
+  default cap (n >= 10);
 * ``omega_point_count`` — projective points avoiding every hyperplane
   rational over the q-element subfield, used to cross-identify the
   distinguished cell of the first counter: the points with
@@ -48,25 +52,32 @@ Three counters are exposed:
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
 from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import DEFAULT_CAP, UsageError, _check_power, _check_size
+from .conjclass import reduce_to_minimal
 from .gffield import (
     Field,
     State,
     _VALUES,
-    _extender,
     build_extension,
     field_build,
     prime_power,
     rational_scalars,
 )
 from .rootsys import RootSystem, build_root_system
-from .weyl import WeylElem, coxeter_standard, from_word
+from .weyl import (
+    WeylElem,
+    compose,
+    coxeter_length,
+    coxeter_standard,
+    enumerate_group,
+    from_word,
+)
 
 __all__ = [
     "Cochar",
@@ -275,73 +286,33 @@ def _cell(n: int, q: int, e: int) -> Field:
 
 @lru_cache(maxsize=16)
 def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    fld = build_extension(q, e)
-    dims = complete_dims(n)
-    size = fld.size
-    frob = fld.frob_map(q)
-    extend = _extender(fld)
-    rank = _rank_frame(n)  # rank(F_i + G_j), G = Frob(F); depth k writes max(i, j) = k
+    size = q**e
+    counts: Dict[Tuple[int, ...], int] = {}  # #X(w) by the root permutation of w
 
-    def enter(depth, rows, state, ctx):
-        # ctx: the states of F_i + G_{k-1} for 0 < i < k, and the images of
-        # b_1..b_{k-1}
-        sums, images = ctx
-        k = depth + 1
-        image = [frob[x] for x in rows[0]]
-        images += (image,)
-        nxt = []
-        for i, st in enumerate(sums, 1):
-            st = extend(st, image)
-            rank[i][k] = len(st)
-            nxt.append(st)
-        for j, image_j in enumerate(images, 1):
-            state = extend(state, image_j)
-            rank[k][j] = len(state)
-        nxt.append(state)
-        return nxt, images
+    def count(w: WeylElem) -> int:
+        if w.perm in counts:
+            return counts[w.perm]
+        chain = reduce_to_minimal(w)
+        # the terminal is a Coxeter element of the standard Levi whose blocks
+        # are its minimal stable intervals: [n; blocks]_q rational parabolics
+        # of that type, times Drinfeld's count on each block
+        tops = accumulate(_one_line(chain.terminal), max)
+        cuts = [i for i, top in enumerate(tops, 1) if top < i]
+        blocks = [b - a for a, b in zip([0] + cuts, cuts)]
+        found = flag_count(n, cuts[:-1], q) * prod(
+            size - q**i for m in blocks for i in range(1, m)
+        )
+        counts[chain.terminal.perm] = found
+        for step in reversed(chain.steps):  # back from the terminal, by DL 1.6
+            x = step.source
+            if coxeter_length(step.target) < coxeter_length(x):
+                sx = WeylElem(x.rs, compose(x.rs.gen_perms[step.gen], x.perm))
+                found = size * found + (size - 1) * count(sx)
+            counts[x.perm] = found
+        return found
 
-    # A hyperplane H over V_{n-2} adds to the rank matrix only incidences:
-    # rank(V_i + Frob H) = n-1 iff Frob^-1 V_i lies in H, i <= a for one a,
-    # rank(H + G_j) = n-1 iff G_j lies in H, j <= b, and rank(H + Frob H) =
-    # n-1 iff H is rational.  Most H hold only what V_{n-2} holds, a0 and b0
-    # read from the node's column and row of ranks.  A rational V_{n-2} holds
-    # every Frob^-1 V_i and G_j, under q + 1 rational H and Q - q others.
-    # Otherwise H_a = V_{n-2} + Frob^-1 V_{a0+1} and H_b = V_{n-2} + G_{b0+1}
-    # are the special H: H_a holds the Frob^-1 V_i with rank below n in the
-    # column, H_b the G_j with rank below n in the row, and an H is rational
-    # iff a = b = n-2.  They are equal iff Frob H_a = V_{a0+1} + G_{n-2}, a
-    # state the node carries, holds Frob G_{b0+1}.  So the leaves of a node
-    # depend only on its rank block and on that one echelon step: the walk
-    # (suspended at each V_{n-2} it yields, so rank holds that node's
-    # entries) counts the nodes by those, and each distinct one is read once.
-    m = n - 2
-    nodes: Counter = Counter()
-    for sums, images in _walk(fld, n, dims[:-1], enter, ([], ())):
-        a0, b0 = [rank[i][m] for i in range(1, n - 1)].count(m), rank[m][1:n - 1].count(m)
-        same = a0 < m and len(extend(sums[a0], [frob[x] for x in images[b0]])) < n
-        nodes[tuple(tuple(r[:n - 1]) for r in rank[1:n - 1]), same] += 1
-    counts: Counter = Counter()
-    for (block, same), nodes_here in nodes.items():
-        for i, r in enumerate(block, 1):
-            rank[i][:n - 1] = r
-        col = [rank[i][m] for i in range(1, n - 1)]
-        row = rank[m][1:n - 1]
-        a0, b0 = col.count(m), row.count(m)
-        a1, b1 = m - col.count(n), m - row.count(n)
-        if a0 == m:
-            classes = [(m, m, True, q + 1), (m, m, False, size - q)]
-        elif same:
-            classes = [(a1, b1, a1 == b1 == m, 1), (a0, b0, False, size)]
-        else:
-            classes = [(a1, b0, False, 1), (a0, b1, False, 1), (a0, b0, False, size - 1)]
-        for a, b, rational, mult in classes:
-            if mult:
-                for i in range(1, n - 1):
-                    rank[i][n - 1] = n - 1 if i <= a else n
-                    rank[n - 1][i] = n - 1 if i <= b else n
-                rank[n - 1][n - 1] = n - 1 if rational else n
-                counts[_perm_from_ranks(rank, n)] += mult * nodes_here
-    return tuple(sorted(counts.items()))
+    tally = ((_one_line(w), count(w)) for w in enumerate_group(_symmetric(n)))
+    return tuple(sorted((perm, c) for perm, c in tally if c))
 
 
 def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_CAP) -> Dict[Tuple[int, ...], int]:
@@ -360,7 +331,8 @@ def dl_point_count(
     """Number of complete flags at relative position w from their image.
 
     The cap is checked before w is read: a word is read in A_{n-1}, whose
-    root system grows as n^2, and every n the cap admits is small."""
+    root system grows as n^2, and every n the cap admits is small.  A
+    raised cap that admits n >= 10 is refused on the order of S_n."""
     _check_cap(_cell(n, q, e), n, complete_dims(n), cap)
     perm = _normalize_perm(n, w)
     return dict(_dl_tally_cached(n, q, e)).get(perm, 0)

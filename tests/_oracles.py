@@ -11,9 +11,12 @@ The flag helpers at the end (`Flag`, `rref`, `enumerate_flags`,
 `relative_position`, `semistable`, ...) decide one flag at a time what
 `gfflag` counts in bulk.  They call the echelon step `_extender` of
 `gffield` and the flag walk `_walk` of `gfflag`, and read gfflag's
-rank-matrix helpers, caps and cocharacter checks.  `omega_by_points`
-tests every projective point against every rational hyperplane through
-the field tables, where `gfflag` counts Omega by a product formula.
+rank-matrix helpers, caps and cocharacter checks.  They are the only
+code that walks flags: `gfflag` counts relative positions by the
+cyclic-shift reduction, semistable flags by the Harder-Narasimhan
+recursion and Omega by a product formula, with no field arithmetic.
+`omega_by_points` tests every projective point against every rational
+hyperplane through the field tables.
 
 `within` runs a call under a time bound, for refusals that must be quick.
 """

@@ -366,6 +366,12 @@ BOUNDED_REFUSALS = {
         CapacityError,
         "projective space over GF(3^10) has more than 59049^999999 points, exceeding cap 1000000",
     ),
+    # a raised flag cap admits n = 10, but the count walks S_10, past the group cap
+    "count_n10_group": (
+        lambda: dl_point_count(10, 2, 1, "s1", cap=10**60),
+        CapacityError,
+        "group A9[bourbaki] has order 3628800, exceeding cap 1000000",
+    ),
 }
 
 
@@ -857,10 +863,16 @@ def test_odd_field_add_table_stays_small(p, k):
 
 @pytest.mark.parametrize("q,e", [(3, 7), (5, 5)])
 def test_big_odd_fields_count_lines(q, e):
-    # GF(3^7) and GF(5^5) exceed the 256-element add table, so echelon
-    # steps subtract chunk by chunk; on the projective line
+    # GF(3^7) and GF(5^5) exceed the 256-element add table, so the oracle's
+    # echelon steps subtract chunk by chunk; on the projective line
     # q + 1 points are rational and the other q^e - q are not
-    assert dl_point_tally(2, q, e) == {(0, 1): q + 1, (1, 0): q**e - q}
+    lines = {(0, 1): q + 1, (1, 0): q**e - q}
+    assert dl_point_tally(2, q, e) == lines
+    fld = build_extension(q, e)
+    flagwise = Counter(
+        relative_position(fl, frobenius_flag(fl, q)) for fl in enumerate_flags(fld, 2, (1,))
+    )
+    assert flagwise == lines
     if q == 3:
         assert period_point_count((1, 0), q, e) == q**e - q
 
@@ -869,7 +881,7 @@ def test_big_odd_fields_count_lines(q, e):
     "n,q,e",
     [
         (2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 1), (3, 3, 2), (3, 2, 3),
-        (3, 4, 1), (4, 2, 1), (4, 2, 2),
+        (3, 4, 1), (4, 2, 1), (4, 2, 2), (4, 3, 1), (5, 2, 1),
     ],
 )
 def test_tally_matches_flagwise_relative_position(n, q, e):
@@ -1025,6 +1037,28 @@ def test_omega_count_past_the_enumeration():
     assert count == 18_167_718_822_006_802_486_394_880
 
 
+def test_coxeter_count_past_the_walks():
+    # GF(32)^5 has about 1.2 * 10^15 complete flags
+    count = within(5, lambda: dl_point_count(5, 2, 5, coxeter_perm(5), cap=BIG_CAP))
+    assert count == 322_560
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tally_matches_the_other_counts_on_every_field(q):
+    # every n <= 5 and every degree with Q <= 2^16, the cap raised to the flag count
+    for n in range(2, 6):
+        e = 1
+        while q**e <= 2**16:
+            total = flag_count(n, complete_dims(n), q**e)
+            tally = dl_point_tally(n, q, e, cap=total)
+            assert sum(tally.values()) == total
+            assert tally[tuple(range(n))] == flag_count(n, complete_dims(n), q)
+            coxeter = tally.get(coxeter_perm(n), 0)
+            assert coxeter == omega_point_count(n, q, e, cap=total)
+            assert coxeter == period_point_count((1,) + (0,) * (n - 1), q, e, cap=total)
+            e += 1
+
+
 @pytest.mark.parametrize("n,q", [(3, 5), (3, 7), (4, 3)])
 def test_tally_over_the_base_field_is_all_identity(n, q):
     # over GF(q) every flag is rational, and no zero count is kept
@@ -1033,9 +1067,14 @@ def test_tally_over_the_base_field_is_all_identity(n, q):
 
 @pytest.mark.parametrize("q, e", [(257, 1), (17, 2)], ids=["prime_above_256", "two_chunks"])
 def test_tally_through_the_general_add_step(q, e):
-    # GF(257) adds mod p and GF(17^2) in two table chunks, so the echelon
-    # step subtracts through Field.add rather than one add table
+    # GF(257) adds mod p and GF(17^2) in two table chunks, so the oracle's
+    # echelon step subtracts through Field.add rather than one add table
     size = q**e
+    flagwise = Counter(
+        relative_position(fl, frobenius_flag(fl, q))
+        for fl in enumerate_flags(build_extension(q, e), 2, (1,))
+    )
+    assert flagwise == dl_point_tally(2, q, e)
     total = flag_count(3, complete_dims(3), size)
     tally = dl_point_tally(3, q, e, cap=total)
     assert sum(tally.values()) == total
