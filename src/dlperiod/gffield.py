@@ -21,6 +21,12 @@ g^((Q-1)/2) for odd p (and -a = a for p = 2).  Every field writes exp
 and log with one shared int object per value, so no two fields hold the
 same number twice.
 
+The rules of a field (a prime p, a degree k >= 1, p^k <= 2^16) are
+checked once per (p, k) by ``_field_order``.  ``field_build`` runs it
+before it builds a field; ``_extension_order`` runs it for the counts of
+:mod:`dlperiod.gfflag`, which read only the order of GF(q^e) and its
+name and build no field.
+
 Linear algebra has one idiom: an *echelon state*, a tuple of
 (pivot, row) pairs in which each row is zero before its pivot, has a 1
 there, and is zero at the pivots of the pairs before it.  ``_extender``
@@ -29,6 +35,7 @@ the row lies in its span); its length is the rank.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import xor
@@ -328,9 +335,17 @@ def _power(b: int, k: int) -> int:
     return b ** min(k, -(-14285 // bits))
 
 
+class _Order(namedtuple("_Order", "p k size")):
+    """GF(p^k) known by its order alone, named as Field names it: what a
+    count that does no field arithmetic reads of its field."""
+
+    __slots__ = ()
+    __repr__ = Field.__repr__
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find GF(3) or k = 1
-def field_build(p: int, k: int) -> Field:
-    """The canonical GF(p^k) for ints p, k; capped at p^k <= 2^16.  A p
+def _field_order(p: int, k: int) -> _Order:
+    """The order of GF(p^k) for ints p, k; capped at p^k <= 2^16.  A p
     above the cap is refused by size before it is tested for primality."""
     if type(p) is not int or not (p > FIELD_CAP or _is_prime(p)):
         raise UsageError(f"field characteristic must be prime, got {p!r}")
@@ -339,6 +354,13 @@ def field_build(p: int, k: int) -> Field:
     verb = "has" if p <= FIELD_CAP else "would have"
     template = "field GF({p}^{k}) {verb} {size} elements"
     _check_size(_power(p, k), FIELD_CAP, template, p=p, k=k, verb=verb)
+    return _Order(p, k, p**k)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed, as for _field_order
+def field_build(p: int, k: int) -> Field:
+    """The canonical GF(p^k), once `_field_order` has checked p and k."""
+    _field_order(p, k)
     return Field(p, k)
 
 
@@ -357,12 +379,18 @@ def _checked_prime_power(q: int, e: int) -> Tuple[int, int]:
     return prime_power(q)
 
 
-def build_extension(q: int, e: int) -> Field:
-    """GF(q^e) for a prime power q and an int e >= 1: the one check of the
-    cell (q, e) for every count."""
+def _extension_order(q: int, e: int) -> _Order:
+    """GF(q^e) for a prime power q and an int e >= 1, checked as a field
+    but not built: the one check of the cell (q, e) for every count."""
     p, m = _checked_prime_power(q, e)
     _check_degree(e)
-    return field_build(p, m * e)
+    return _field_order(p, m * e)
+
+
+def build_extension(q: int, e: int) -> Field:
+    """GF(q^e), after the checks of `_extension_order`."""
+    order = _extension_order(q, e)
+    return field_build(order.p, order.k)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 or True must not find q = 3 or 1

@@ -10,9 +10,11 @@ state the counter carries, so no leaf reduces its whole flag again.
 Walks take no cap: callers check the cap before they walk, by the one
 cap rule of the package (an int cap; CapacityError naming the count or
 a bound on it).  The counts check the flag cap too, although none of
-them walks a flag.  A family whose big Bruhat cell alone passes 2^16
-bits is refused on that cell's size before its exact count, which costs
-about the square of its bits, is formed.  The flag-at-a-time oracles
+them walks a flag, and check GF(q^e) by the field rules without building
+it (``gffield._extension_order``), since none does field arithmetic.  A
+family whose big Bruhat cell alone passes 2^16 bits is refused on that
+cell's size before its exact count, which costs about the square of its
+bits, is formed.  The flag-at-a-time oracles
 (``rref``, ``enumerate_flags``, ``relative_position``, ``semistable``)
 live in the test suite and walk the flags with ``_walk``.
 
@@ -63,7 +65,9 @@ from .conjclass import reduce_to_minimal
 from .gffield import (
     Field,
     State,
+    _Order,
     _VALUES,
+    _extension_order,
     build_extension,
     field_build,
     prime_power,
@@ -155,9 +159,10 @@ def _flag_dim(n: int, dims: Sequence[int]) -> int:
     return (n * n - sum(b * b for b in blocks)) // 2
 
 
-def _check_cap(fld: Field, n: int, dims: Tuple[int, ...], cap: int) -> None:
-    """Refuse more flags of type dims than cap.  The big Bruhat cell alone
-    has Q^dim of them, dim that of the flag variety, a bound checked first."""
+def _check_cap(fld: Union[Field, _Order], n: int, dims: Tuple[int, ...], cap: int) -> None:
+    """Refuse more flags of type dims than cap over fld, a field or its
+    order.  The big Bruhat cell alone has Q^dim of them, dim that of the
+    flag variety, a bound checked first."""
     template = "flag family of type {dims} in dimension {n} over {fld!r} has {size} members"
     fields = dict(dims=dims, n=n, fld=fld)
     _check_power(fld.size, _flag_dim(n, dims), cap, template, **fields)
@@ -215,7 +220,7 @@ def perm_from_word(n: int, word: Union[str, Sequence[Union[int, str]]]) -> Tuple
     Words are read by :func:`dlperiod.weyl.from_word`: tokens ``s1 ..
     s{n-1}``, 1-based positions as ints or digits, and the empty ``sp<k>``;
     the rightmost letter acts first.  No cap is checked: each new n builds
-    A_{n-1}, O(n^4) work (about 4 s at n = 80 and 44 s at n = 150 on a
+    A_{n-1}, O(n^3) work (about 0.15 s at n = 80 and 1 s at n = 150 on a
     2-vCPU host), and keeps it in the root-system cache, which has no
     bound.  The counts check their caps before they read a word.
     """
@@ -278,10 +283,11 @@ def _check_dimension(n: int) -> int:
     return n
 
 
-def _cell(n: int, q: int, e: int) -> Field:
-    """GF(q^e) for a count on an n-space, n an int >= 2."""
+def _cell(n: int, q: int, e: int) -> _Order:
+    """GF(q^e), checked but not built, for a count on an n-space, n an int
+    >= 2: no count does field arithmetic."""
     _check_dimension(n)
-    return build_extension(q, e)
+    return _extension_order(q, e)
 
 
 @lru_cache(maxsize=16)
@@ -443,7 +449,7 @@ def period_point_count(nu, q: int, e: int, cap: int = DEFAULT_CAP) -> int:
     trivial flag of a constant nu is checked against the flag cap alone.
     """
     vnu = _single_nu(nu)
-    fld = build_extension(q, e)
+    fld = _extension_order(q, e)
     n = len(vnu)
     dims = nu_jump_dims(vnu)
     _check_cap(fld, n, dims, cap)

@@ -25,9 +25,10 @@ The roots of a (kind, rank) are numbered once, for both profiles: the
 standard positive roots in `positive_roots` order take indices 0..N-1 and
 their negatives N..2N-1, in the same order.  Each generator is stored as the
 permutation it induces on these indices (`gen_perms`), which is how
-:mod:`dlperiod.weyl` represents group elements.  Only the positive roots
-are reflected: a reflection commutes with negation, so the image of root
-i + N is the negative of the image of root i, N indices away.
+:mod:`dlperiod.weyl` represents group elements.  One closure per base
+finds the positive roots and the pairs each simple reflection swaps; a
+reflection commutes with negation, so the image of root i + N is the
+negative of the image of root i, N indices away.
 
 >>> rs = build_root_system("A", 2)
 >>> len(rs.positive_roots)
@@ -125,6 +126,7 @@ class RootSystem:
         "positive_roots",  # standard positive system, sorted
         "pos_coords",  # coords of each positive root in the standard simple
         # basis (parallel to positive_roots)
+        "int_coords",  # pos_coords as ints
         "coxeter_positive_roots",  # positive system whose simple roots are
         # exactly `simple_roots`' reflections (differs from positive_roots
         # only for paper5 B/D)
@@ -199,69 +201,66 @@ def _fractions(rows: Sequence[IntVector], den: int) -> Tuple[Vector, ...]:
     return tuple(tuple(map(cache.__getitem__, r)) for r in rows)
 
 
-def _idot(a: IntVector, b: IntVector) -> int:
-    return sum(map(mul, a, b))
+def _closure(base: Sequence[IntVector]):
+    """Positive roots of `base` sorted by (height, coordinates), as doubled
+    vectors and as coordinates over `base`, and the pairs of positive roots
+    each simple reflection swaps.
 
-
-def _orbit_closure(
-    base: Sequence[IntVector],
-) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
-    """Positive roots of `base` and their coordinates over it, both sorted by
-    (height, coordinates).
-
-    Runs on doubled integer coordinates (every root lies in (1/2)Z^n), where
-    the Cartan integer <r, a> = 2(r, a)/(a, a) is exact.  Every positive root
-    is reached from a simple one by simple reflections that raise the
-    height, so only steps with <r, a> < 0 are followed; a Cartan integer
-    between two roots is at least -3, so k a is made once for k = -1, -2, -3.
+    Each positive root is reached from a simple one by simple reflections
+    that raise its height (Bourbaki, Lie Groups, Ch. VI, 1.6).  A root
+    carries its pairings with the simple coroots: a step r -> r - k a_i,
+    k = <r, a_i^v> < 0, subtracts k times Cartan row i from them and k a_i
+    from r, both made once for k = -1, -2, -3.  s_i swaps the ends of each
+    step, negates a_i and fixes the roots with k = 0; the rest top a step.
     """
-    mirrors = [(a, _idot(a, a), {k: tuple(k * x for x in a) for k in (-1, -2, -3)})
-               for a in base]
+    norms = [sum(map(mul, b, b)) for b in base]
+    cartan = [[2 * sum(map(mul, a, b)) // bb for b, bb in zip(base, norms)] for a in base]
+    steps = [{k: (tuple(k * x for x in a), tuple(k * x for x in row)) for k in (-1, -2, -3)}
+             for a, row in zip(base, cartan)]
     unit = [tuple(int(i == j) for j in range(len(base))) for i in range(len(base))]
-    found = dict(zip(base, unit))
+    found = {a: (c, tuple(row)) for a, c, row in zip(base, unit, cartan)}
+    swaps = [[] for _ in base]
     queue = list(base)
     while queue:
         r = queue.pop()
-        c = found[r]
-        for i, (a, aa, ka) in enumerate(mirrors):
-            k = 2 * _idot(r, a) // aa
+        c, pairing = found[r]
+        for i, k in enumerate(pairing):
             if k < 0:
-                r2 = tuple(map(sub, r, ka[k]))
+                ka, krow = steps[i][k]
+                r2 = tuple(map(sub, r, ka))
+                swaps[i].append((r, r2))
                 if r2 not in found:
-                    found[r2] = c[:i] + (c[i] - k,) + c[i + 1 :]
+                    found[r2] = (c[:i] + (c[i] - k,) + c[i + 1 :], tuple(map(sub, pairing, krow)))
                     queue.append(r2)
-    keyed = sorted(found.items(), key=lambda t: (sum(t[1]), t[1]))
-    return tuple(r for r, _ in keyed), tuple(c for _, c in keyed)
+    keyed = sorted(found.items(), key=lambda t: (sum(t[1][0]), t[1][0]))
+    return tuple(r for r, _ in keyed), tuple(c for _, (c, _) in keyed), swaps
 
 
-def _reflection_perm(
-    pos: Sequence[IntVector], index: Mapping[IntVector, int], neg: Sequence[int], a: IntVector
-) -> Tuple[int, ...]:
-    """The permutation of root indices induced by the reflection in `a`.
-
-    Only the positive roots `pos` are reflected: s(-r) = -s(r), so the image
-    of root i + N is the negative of the image of root i, whose index `neg`
-    gives (so the permutations share neg's ints rather than each making N
-    new ones).  A root r goes to r - k a with k = <r, a> the Cartan integer;
-    k a is made once per distinct k.
-    """
-    aa = _idot(a, a)
-    ks = [2 * _idot(r, a) // aa for r in pos]
-    ka = {k: tuple(k * x for x in a) for k in set(ks)}
-    half = [index[tuple(map(sub, r, ka[k]))] for r, k in zip(pos, ks)]
-    return (*half, *map(neg.__getitem__, half))
+def _gen_perms(base: Sequence[IntVector], swaps, index: Mapping[IntVector, int]):
+    """The reflection in each root of `base` as a permutation of root
+    indices, from its `_closure` swaps; every entry is one of index's ints."""
+    ids = tuple(index.values())
+    neg = ids[len(ids) // 2 :] + ids[: len(ids) // 2]
+    perms = []
+    for a, pairs in zip(base, swaps):
+        perm = list(ids)
+        b = index[a]
+        perm[b], perm[neg[b]] = neg[b], b
+        for r, r2 in pairs:
+            i, j = index[r], index[r2]
+            perm[i], perm[j], perm[neg[i]], perm[neg[j]] = j, i, neg[j], neg[i]
+        perms.append(tuple(perm))
+    return tuple(perms)
 
 
 @lru_cache(maxsize=None)
 def _root_table(kind: str, rank: int):
-    """The root numbering of (kind, rank), shared by both profiles.
-
-    Returns (ambient, doubled standard simple roots, doubled roots by index,
-    index of each doubled root, Fraction roots by index, simple-root
-    coordinates of the positive roots).
-    """
+    """The root numbering of (kind, rank), shared by both profiles: (ambient,
+    doubled standard simple roots, their `_closure` swaps, doubled roots by
+    index, index of each doubled root, Fraction roots by index, integer and
+    Fraction simple-root coordinates of the positive roots)."""
     ambient, std = _standard_simples(kind, rank)
-    pos2, coords = _orbit_closure(std)
+    pos2, coords, swaps = _closure(std)
     npos = positive_root_count(kind, rank)
     if len(pos2) != npos:
         raise AssertionError(
@@ -269,8 +268,9 @@ def _root_table(kind: str, rank: int):
             f"expected {2 * npos}"
         )
     doubled = pos2 + tuple(tuple(-x for x in r) for r in pos2)
-    index = {r: i for i, r in enumerate(doubled)}
-    return ambient, std, doubled, index, _fractions(doubled, 2), _fractions(coords, 1)
+    index = dict(zip(doubled, range(2 * npos)))
+    return (ambient, std, swaps, doubled, index, _fractions(doubled, 2), coords,
+            _fractions(coords, 1))
 
 
 def _rank(rank) -> int:
@@ -305,29 +305,26 @@ def normalize_kind(kind: str, rank) -> Tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
-    ambient, std, doubled, index, roots, coords = _root_table(kind, rank)
+    ambient, base, swaps, doubled, index, roots, coords, pos_coords = _root_table(kind, rank)
     npos = len(coords)
-    pos = roots[:npos]
 
     if profile == "bourbaki":
-        gens = std
+        gens = base
         names = tuple(f"s{i}" for i in range(1, rank + 1))
         trace_zero = False
     else:
         gens, names = _paper5_simples(kind, rank)
         trace_zero = kind == "A"
-    base = gens
+    cox_idx = range(npos)
     if profile == "paper5" and kind != "A":
         # the generators are the simple reflections of the base obtained by
         # flipping the extra root; positivity is recomputed against it
-        base = (tuple(-x for x in base[0]), *base[1:])
-        cox_idx = [index[r] for r in _orbit_closure(base)[0]]
-    else:
-        cox_idx = list(range(npos))
+        base = (tuple(-x for x in gens[0]), *gens[1:])
+        pos5, _, swaps = _closure(base)
+        cox_idx = [index[r] for r in pos5]
     cox_positive = [False] * (2 * npos)
     for i in cox_idx:
         cox_positive[i] = True
-    neg = (*range(npos, 2 * npos), *range(npos))  # index of -(root i)
 
     return RootSystem(
         kind=kind,
@@ -336,12 +333,13 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         ambient=ambient,
         simple_roots=_fractions(gens, 2),
         gen_names=names,
-        positive_roots=pos,
-        pos_coords=coords,
+        positive_roots=roots[:npos],
+        pos_coords=pos_coords,
+        int_coords=coords,
         coxeter_positive_roots=tuple(roots[i] for i in cox_idx),
         trace_zero=trace_zero,
         doubled=doubled,
-        gen_perms=tuple(_reflection_perm(doubled[:npos], index, neg, a) for a in base),
+        gen_perms=_gen_perms(base, swaps, index),
         base_idx=tuple(index[a] for a in base),
         cox_positive=tuple(cox_positive),
     )
@@ -387,8 +385,8 @@ def parabolic_dim(rs: RootSystem, removed: Iterable[int]) -> int:
     if rs.profile != "bourbaki":
         raise UsageError("parabolic_dim expects the standard (bourbaki) profile")
     nodes = _check_nodes(rs, removed)
-    idx = [i - 1 for i in nodes]
-    return sum(1 for c in rs.pos_coords if any(c[i] != 0 for i in idx))
+    cols = list(zip(*rs.int_coords))
+    return sum(map(any, zip(*(cols[i - 1] for i in nodes))))
 
 
 def rank_vs_dim_table(rs: RootSystem) -> Tuple[Tuple[int, int, int, bool], ...]:

@@ -190,9 +190,8 @@ class _MatrixFrame:
 
     def __init__(self, rs: RootSystem):
         n = rs.ambient
-        pos = rs.doubled[: len(rs.pos_coords)]
-        coords = [[x.numerator for x in c] for c in rs.pos_coords]
-        sums = [[sum(c[i] * b[k] for c, b in zip(coords, pos)) for k in range(n)]
+        pos = rs.doubled[: len(rs.int_coords)]
+        sums = [[sum(c[i] * b[k] for c, b in zip(rs.int_coords, pos)) for k in range(n)]
                 for i in range(rs.rank)]
         a = pos[0]
         s = sum(sum(x * y for x, y in zip(a, b)) ** 2 for b in pos)

@@ -5,7 +5,8 @@ routines re-decide things the package also computes, by different
 algorithms, sharing no code with src/.  Keep them dumb and obviously
 correct rather than fast.  The matrix helpers let the Weyl tests act with
 and multiply an element's exact `.matrix`, which the package only derives,
-and `reflect` applies the reflection in a root by the textbook formula.
+`reflect` applies the reflection in a root by the textbook formula, and
+`simple_coordinates` writes roots over the simple roots by row reduction.
 
 The flag helpers at the end (`Flag`, `rref`, `enumerate_flags`,
 `relative_position`, `semistable`, ...) decide one flag at a time what
@@ -27,9 +28,8 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from dlperiod import DEFAULT_CAP, UsageError, _check_power, _check_size
-from dlperiod.gffield import _extender, prime_power, rational_scalars
+from dlperiod.gffield import _extender, build_extension, prime_power, rational_scalars
 from dlperiod.gfflag import (
-    _cell,
     _check_cap,
     _check_subspace_cap,
     _echelon_bases,
@@ -191,6 +191,16 @@ def reflect(x, alpha):
     return tuple(a - c * b for a, b in zip(x, alpha))
 
 
+def simple_coordinates(simples, roots):
+    """The coordinates of each root over the simple roots, as Fractions: one
+    row reduction of the matrix whose columns are the simples, then the roots."""
+    pivots, red = _rref(zip(*simples, *roots))
+    k = len(simples)
+    if pivots != list(range(k)):
+        raise ValueError("simple_coordinates: the simple roots are dependent")
+    return [tuple(row[k + j] for row in red) for j in range(len(roots))]
+
+
 # -- flags over finite fields, one at a time ---------------------------------
 
 
@@ -305,7 +315,7 @@ def omega_by_points(n, q, e, cap=DEFAULT_CAP):
 
     Written directly against normalized coordinate vectors — independent
     of the flag machinery and of gfflag's product formula."""
-    fld = _cell(n, q, e)
+    fld = build_extension(q, e)
     size = fld.size
     template = "projective space over {fld!r} has {size} points"
     _check_power(size, n - 1, cap, template, fld=fld)  # Q^(n-1) of them have x_1 = 1

@@ -501,6 +501,33 @@ def test_input_rule_messages(case):
     assert str(err.value) == msg
 
 
+def test_counts_check_the_field_without_building_it():
+    """Every count checks GF(q^e) by field_build's rules and reads only its
+    order: no field_build miss on its answers or on its pinned refusals."""
+    field_build.cache_clear()
+    before = field_build.cache_info().misses
+    assert omega_point_count(2, 3, 10) == 3**10 - 3
+    assert period_point_count((1, 0), 2, 16) == 2**16 - 2
+    assert dl_point_count(2, 5, 6, "s1") == 5**6 - 5
+    assert dl_point_tally(2, 13, 4) == {(0, 1): 14, (1, 0): 13**4 - 13}
+    pinned = [CAP_MESSAGES[case] for case in (
+        "tally", "count", "omega", "period_flags", "period_subspaces", "period_trivial",
+        "count_n200", "omega_n8000", "field_huge",
+    )]
+    pinned += [BOUNDED_REFUSALS[case][::2] for case in (
+        "extension_q", "count_n20000", "period_n400", "omega_n1000000", "count_n10_group",
+    )]
+    pinned += [INPUT_RULE_MESSAGES[case] for case in ("n", "omega_e", "float_q", "bool_q")]
+    pinned.append((
+        lambda: omega_point_count(2, 2, 17), "field GF(2^17) has 131072 elements, exceeding cap 65536"
+    ))
+    for call, msg in pinned:
+        with pytest.raises((CapacityError, UsageError)) as err:
+            call()
+        assert str(err.value) == msg
+    assert field_build.cache_info().misses == before
+
+
 def test_relative_position_identity_and_inverse():
     f2 = build_extension(2, 1)
     flags = enumerate_flags(f2, 3, (1, 2))

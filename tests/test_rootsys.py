@@ -1,10 +1,11 @@
 import hashlib
 from fractions import Fraction as Q
+from itertools import chain, combinations
 from math import comb
 
 import pytest
 
-from _oracles import dot, reflect
+from _oracles import dot, reflect, simple_coordinates
 from dlperiod import UsageError
 from dlperiod.conjclass import gp_enumerate
 from dlperiod.rootsys import (
@@ -265,6 +266,24 @@ def test_root_data_frozen(kind, profile):
             rs.positive_roots, rs.pos_coords, rs.coxeter_positive_roots,
         ))
     assert hashlib.sha256(data.encode()).hexdigest() == ROOT_DATA_DIGESTS[kind, profile]
+
+
+@pytest.mark.parametrize("kind", sorted(RANKS_UP_TO_8))
+def test_parabolic_dim_matches_fraction_count(kind):
+    """parabolic_dim counts integer coordinates; the oracle counts nonzero
+    Fraction coordinates found by row reduction: every node subset up to
+    rank 5, every single node up to rank 8."""
+    for rank in RANKS_UP_TO_8[kind]:
+        rs = build_root_system(kind, rank)
+        coords = simple_coordinates(rs.simple_roots, rs.positive_roots)
+        nodes = range(1, rank + 1)
+        if rank <= 5:
+            subsets = chain.from_iterable(combinations(nodes, k) for k in range(rank + 1))
+        else:
+            subsets = ((i,) for i in nodes)
+        for removed in subsets:
+            expected = sum(1 for c in coords if any(c[i - 1] != 0 for i in removed))
+            assert parabolic_dim(rs, removed) == expected, (kind, rank, removed)
 
 
 # every system up to rank 8, plus one larger rank per classical kind
