@@ -4,9 +4,9 @@ Each system is realized inside a fixed ambient Q^N with the classical
 coordinate conventions.  Every root lies in (1/2)Z^N, so inside the
 program a root is its doubled integer vector: the simple roots are written
 doubled, and the closure, the Cartan integers and the generator
-permutations run on integers.  The public `simple_roots`,
-`positive_roots`, `pos_coords` and `coxeter_positive_roots` are Fraction
-tuples made from those integers once per system, for display.  Each
+permutations run on integers.  A `RootSystem` stores integers only; its
+`simple_roots`, `positive_roots`, `pos_coords` and `coxeter_positive_roots`
+are Fraction tuples derived from them on each read, for display.  Each
 system carries two generator profiles:
 
 * ``bourbaki`` — the standard simple roots for each kind,
@@ -35,6 +35,8 @@ negative of the image of root i, N indices away.
 3
 >>> build_root_system("B", 3, "paper5").gen_names
 ('t', 's1', 's2')
+>>> build_root_system("B", 3, "paper5").simple_roots[0]
+(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))
 """
 from __future__ import annotations
 
@@ -113,7 +115,8 @@ class RootSystem:
     """An immutable root-system datum; obtain instances via build_root_system.
 
     Instances are interned by (kind, rank, profile), so identity comparison
-    is safe and cheap.
+    is safe and cheap.  No slot holds a Fraction: the Fraction views below
+    are derived from the integer data on each read.
     """
 
     __slots__ = (
@@ -121,15 +124,8 @@ class RootSystem:
         "rank",
         "profile",
         "ambient",
-        "simple_roots",  # the profile's generator roots, in order
         "gen_names",
-        "positive_roots",  # standard positive system, sorted
-        "pos_coords",  # coords of each positive root in the standard simple
-        # basis (parallel to positive_roots)
-        "int_coords",  # pos_coords as ints
-        "coxeter_positive_roots",  # positive system whose simple roots are
-        # exactly `simple_roots`' reflections (differs from positive_roots
-        # only for paper5 B/D)
+        "int_coords",  # coords of each positive root in the standard simple basis
         "trace_zero",  # paper5-A chamber lives in the sum-zero hyperplane
         "doubled",  # root numbering (see the module docstring): index -> doubled root
         "gen_perms",  # generator g sends root i to root gen_perms[g][i]
@@ -152,6 +148,28 @@ class RootSystem:
 
     def __str__(self) -> str:
         return f"{self.kind}{self.rank}[{self.profile}]"
+
+    @property
+    def positive_roots(self) -> Tuple[Vector, ...]:
+        """The standard positive roots, sorted."""
+        return _fractions(self.doubled[: len(self.int_coords)], 2)
+
+    @property
+    def pos_coords(self) -> Tuple[Vector, ...]:
+        """`int_coords` as Fractions, parallel to `positive_roots`."""
+        return _fractions(self.int_coords, 1)
+
+    @property
+    def simple_roots(self) -> Tuple[Vector, ...]:
+        """The profile's generator roots, in order; paper5 B/D store the
+        flipped extra root, shown here by its positive twin."""
+        return _fractions([self.doubled[i % len(self.int_coords)] for i in self.base_idx], 2)
+
+    @property
+    def coxeter_positive_roots(self) -> Tuple[Vector, ...]:
+        """The positive system whose simple reflections are the generators
+        (differs from `positive_roots` only for paper5 B/D)."""
+        return _fractions(_closure([self.doubled[i] for i in self.base_idx])[0], 2)
 
 
 def _chain(n: int, count: int) -> Tuple[IntVector, ...]:
@@ -183,16 +201,14 @@ def _standard_simples(kind: str, rank: int) -> Tuple[int, Tuple[IntVector, ...]]
     return 3, ((2, -2, 0), (-4, 2, 2))
 
 
-def _paper5_simples(kind: str, rank: int) -> Tuple[Tuple[IntVector, ...], Tuple[str, ...]]:
-    """Doubled generator roots + names for the paper5 profile (kinds A, B, D only)."""
-    if kind == "A":
-        return _chain(rank + 1, rank), tuple(f"s{i}" for i in range(1, rank + 1))
+def _paper5_base(kind: str, rank: int) -> Tuple[Tuple[IntVector, ...], Tuple[str, ...]]:
+    """Doubled base, extra root flipped, + generator names for paper5 kinds B, D."""
     n_names = tuple(f"s{i}" for i in range(1, rank))
     chain = _chain(rank, rank - 1)
     if kind == "B":
-        return ((2,) + (0,) * (rank - 1), *chain), ("t", *n_names)
+        return ((-2,) + (0,) * (rank - 1), *chain), ("t", *n_names)
     # kind D
-    return ((2, 2) + (0,) * (rank - 2), *chain), ("tp", *n_names)
+    return ((-2, -2) + (0,) * (rank - 2), *chain), ("tp", *n_names)
 
 
 def _fractions(rows: Sequence[IntVector], den: int) -> Tuple[Vector, ...]:
@@ -257,8 +273,8 @@ def _gen_perms(base: Sequence[IntVector], swaps, index: Mapping[IntVector, int])
 def _root_table(kind: str, rank: int):
     """The root numbering of (kind, rank), shared by both profiles: (ambient,
     doubled standard simple roots, their `_closure` swaps, doubled roots by
-    index, index of each doubled root, Fraction roots by index, integer and
-    Fraction simple-root coordinates of the positive roots)."""
+    index, index of each doubled root, simple-root coordinates of the
+    positive roots)."""
     ambient, std = _standard_simples(kind, rank)
     pos2, coords, swaps = _closure(std)
     npos = positive_root_count(kind, rank)
@@ -269,8 +285,7 @@ def _root_table(kind: str, rank: int):
         )
     doubled = pos2 + tuple(tuple(-x for x in r) for r in pos2)
     index = dict(zip(doubled, range(2 * npos)))
-    return (ambient, std, swaps, doubled, index, _fractions(doubled, 2), coords,
-            _fractions(coords, 1))
+    return ambient, std, swaps, doubled, index, coords
 
 
 def _rank(rank) -> int:
@@ -305,21 +320,14 @@ def normalize_kind(kind: str, rank) -> Tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
-    ambient, base, swaps, doubled, index, roots, coords, pos_coords = _root_table(kind, rank)
+    ambient, base, swaps, doubled, index, coords = _root_table(kind, rank)
     npos = len(coords)
-
-    if profile == "bourbaki":
-        gens = base
-        names = tuple(f"s{i}" for i in range(1, rank + 1))
-        trace_zero = False
-    else:
-        gens, names = _paper5_simples(kind, rank)
-        trace_zero = kind == "A"
+    names = tuple(f"s{i}" for i in range(1, rank + 1))
     cox_idx = range(npos)
     if profile == "paper5" and kind != "A":
         # the generators are the simple reflections of the base obtained by
         # flipping the extra root; positivity is recomputed against it
-        base = (tuple(-x for x in gens[0]), *gens[1:])
+        base, names = _paper5_base(kind, rank)
         pos5, _, swaps = _closure(base)
         cox_idx = [index[r] for r in pos5]
     cox_positive = [False] * (2 * npos)
@@ -331,13 +339,9 @@ def _build_interned(kind: str, rank: int, profile: str) -> RootSystem:
         rank=rank,
         profile=profile,
         ambient=ambient,
-        simple_roots=_fractions(gens, 2),
         gen_names=names,
-        positive_roots=roots[:npos],
-        pos_coords=pos_coords,
         int_coords=coords,
-        coxeter_positive_roots=tuple(roots[i] for i in cox_idx),
-        trace_zero=trace_zero,
+        trace_zero=profile == "paper5" and kind == "A",
         doubled=doubled,
         gen_perms=_gen_perms(base, swaps, index),
         base_idx=tuple(index[a] for a in base),

@@ -27,7 +27,7 @@ Two length functions are exposed:
 * :func:`length` counts inversions against the standard positive system —
   the reflection length profile of the ambient realization;
 * :func:`coxeter_length` counts inversions against the positive system
-  attached to the *generators* (`coxeter_positive_roots`), i.e. the word
+  attached to the *generators* (`RootSystem.cox_positive`), i.e. the word
   length of the presentation actually in use.
 
 The two agree for standard-profile systems and for paper5 kind A; they
@@ -40,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from . import DEFAULT_CAP, UsageError, _check_size
@@ -191,8 +191,8 @@ class _MatrixFrame:
     def __init__(self, rs: RootSystem):
         n = rs.ambient
         pos = rs.doubled[: len(rs.int_coords)]
-        sums = [[sum(c[i] * b[k] for c, b in zip(rs.int_coords, pos)) for k in range(n)]
-                for i in range(rs.rank)]
+        ambs = list(zip(*pos))
+        sums = [[sum(map(mul, col, amb)) for amb in ambs] for col in zip(*rs.int_coords)]
         a = pos[0]
         s = sum(sum(x * y for x, y in zip(a, b)) ** 2 for b in pos)
         t = 2 * sum(x * x for x in a)  # d_i = sums[i] * t / s
@@ -235,7 +235,7 @@ def generator(rs: RootSystem, pos: int) -> WeylElem:
 
 
 def generators(rs: RootSystem) -> Tuple[WeylElem, ...]:
-    return tuple(generator(rs, i) for i in range(len(rs.simple_roots)))
+    return tuple(generator(rs, i) for i in range(len(rs.gen_perms)))
 
 
 def _sp_expansion(rs: RootSystem, k: int) -> Word:
@@ -322,9 +322,9 @@ def inverse(w: WeylElem) -> WeylElem:
 
 
 def inversions(w: WeylElem) -> Tuple[int, ...]:
-    """Indices (into `positive_roots`) of the standard positive roots that w
-    sends to negative roots."""
-    npos = len(w.rs.positive_roots)
+    """Indices of the standard positive roots (0..N-1, as numbered in
+    :mod:`dlperiod.rootsys`) that w sends to negative roots."""
+    npos = len(w.rs.int_coords)
     return tuple(i for i, j in enumerate(w.perm[:npos]) if j >= npos)
 
 
@@ -334,10 +334,10 @@ def length(w: WeylElem) -> int:
 
 
 def coxeter_length(w: WeylElem) -> int:
-    """Word length of w in the presentation given by rs.simple_roots.
+    """Word length of w in the presentation given by rs.gen_names.
 
-    Counted as inversions against `coxeter_positive_roots`; equals the
-    minimum number of generators whose product is w.
+    Counted as inversions against the Coxeter-positive roots (`cox_positive`);
+    equals the minimum number of generators whose product is w.
     """
     get = _getters(w.rs)
     return len(get.negative.intersection(get.positive(w.perm)))
@@ -367,7 +367,7 @@ def reduced_word(w: WeylElem) -> Word:
     right = _getters(rs).right
     inv = _invert(w.perm)
     out: List[int] = []
-    for _ in range(len(rs.positive_roots) + 1):
+    for _ in range(len(rs.int_coords) + 1):
         found = _left_descents(rs, inv)
         if not found:
             if inv == tuple(range(len(inv))):

@@ -291,6 +291,37 @@ def test_criterion_stdout_is_frozen(capsys, argv, digests):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+# sha256 of roots stdout per format, frozen while RootSystem still stored its
+# Fraction roots; the views derived on each read must print the same bytes
+ROOTS_GOLDEN = [
+    (("--type", "B", "--rank", "3", "--profile", "paper5", "--parabolic-table"),
+     {"json": "46effced2342583723513eebf9eaca4e4addc021bb6b65afa6c0c07a28841b45",
+      "tsv": "8b9fb48185228b41d08b9f1c8c24f627c08cb98b103ec543e6f466707b1caa88",
+      "pretty": "896e7cd8d60456ea91750a470a6e4c824743a2d7578f062cc12d56301bd68341"}),
+    (("--type", "D", "--rank", "5", "--profile", "paper5"),
+     {"json": "04585623fb6f22ab443fc7258c9c62821d0ecca3aa57b82bde4a4213302ef623",
+      "tsv": "45e64f06b5bc91469539e55c024d3aa97dd4f787f4b76016e4a3af5dff23cae3",
+      "pretty": "f1512471afc9b9ce701521ea4c8947e1d1566e1442b883ffd84c03be9e213b62"}),
+    (("--type", "E8"),
+     {"json": "4f6a29d62f080896c3612b45148768c31b4aa74320121cf5571dd419076f5bc6",
+      "tsv": "871eed3ba6c379eba9f30a7275eb07ea47a2243f553d5c42abac6441f2df3b9d",
+      "pretty": "702d7a8dc3f8b37f67b1d52b3d2a09c41fd24e55baa82d03feccfd562bd0b10b"}),
+    (("--type", "A", "--rank", "4", "--profile", "paper5"),
+     {"json": "0a3a6b690ba32ac966801ba51c919c6d58e5188b21d7867a58c27afd88e3eec8",
+      "tsv": "023b27a97d7587adbd7094019c2289ce46c5d9aa818950f75f4279f8e29be781",
+      "pretty": "f94a19a244ebe4883e4a106cea2f1dadebf8d65bdf2e616364a1edf955f71bb9"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", ROOTS_GOLDEN,
+                         ids=[" ".join(a[1::2]) for a, _ in ROOTS_GOLDEN])
+def test_roots_stdout_is_frozen(capsys, argv, digests):
+    for fmt, digest in digests.items():
+        code, out, _ = run(capsys, "roots", *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 # sha256 of gp-list stdout, frozen before gp_element was rebuilt from its
 # construction word; the words printed here are not always reduced
 GP_LIST_GOLDEN = [

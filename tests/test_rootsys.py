@@ -230,6 +230,12 @@ def test_interning():
         del rs.kind
     assert rs.kind == "B"
     assert repr(rs) == "RootSystem(kind='B', rank=3, profile='bourbaki')"
+    for view in ("positive_roots", "simple_roots"):
+        with pytest.raises(AttributeError, match=f"RootSystem is read-only; cannot set '{view}'"):
+            setattr(rs, view, ())
+        with pytest.raises(AttributeError, match=f"RootSystem is read-only; cannot delete '{view}'"):
+            delattr(rs, view)
+        assert getattr(rs, view) == getattr(rs, view)
 
 
 # sha256 of the public root data of every system up to rank 8, one digest
@@ -266,6 +272,22 @@ def test_root_data_frozen(kind, profile):
             rs.positive_roots, rs.pos_coords, rs.coxeter_positive_roots,
         ))
     assert hashlib.sha256(data.encode()).hexdigest() == ROOT_DATA_DIGESTS[kind, profile]
+
+
+def _holds_fraction(value):
+    if isinstance(value, Q):
+        return True
+    return isinstance(value, tuple) and any(map(_holds_fraction, value))
+
+
+def test_root_systems_store_no_fractions():
+    """A RootSystem stores integer data only; its Fraction views are derived
+    on each read."""
+    for kind, profile in ROOT_DATA_DIGESTS:
+        for rank in RANKS_UP_TO_8[kind]:
+            rs = build_root_system(kind, rank, profile)
+            for slot in type(rs).__slots__:
+                assert not _holds_fraction(getattr(rs, slot)), (kind, rank, profile, slot)
 
 
 @pytest.mark.parametrize("kind", sorted(RANKS_UP_TO_8))
