@@ -7,7 +7,8 @@ coefficient tuples from the highest degree down.  Candidates with a root
 in GF(p) are dropped at once, the rest are divided only by the monic
 irreducibles of degree 2..k/2 (tabulated once per degree).  Multiplication
 runs on exp/log tables over the smallest primitive element (found by an
-order test; for k >= 2 the constants, whose order divides p - 1, are
+order test, whose primes dividing p - 1 are tested on the norm down to
+GF(p); for k >= 2 the constants, whose order divides p - 1, are
 skipped).  The exp walk adds g*(low digits) and g*(high digits) from two
 tables built by additivity.  Addition is XOR in characteristic 2 and
 otherwise reads one digit-built table of at most 256 rows (over all digits
@@ -163,12 +164,38 @@ def _canonical_modulus(p: int, k: int) -> Tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
 
+def _norm(mod: Sequence[int], g: Sequence[int], p: int) -> int:
+    """N(g) in GF(p) for a nonzero g of GF(p)[x]/(mod), mod monic and
+    irreducible: the product of g over the roots of mod, Res(mod, g), by
+    Euclid's algorithm.  With r = a mod b, Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r), and Res(a, c) = c^(deg a) for a
+    constant c; mod and g are coprime, so the remainders end at a nonzero
+    constant."""
+    a, b, out = list(mod), list(g), 1
+    while not b[-1]:
+        b.pop()
+    while len(b) > 1:
+        lead = b[-1]
+        r = _poly_rem(a, [x * pow(lead, -1, p) % p for x in b], p)
+        while not r[-1]:
+            r.pop()
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            out = -out
+        out = out * pow(lead, len(a) - len(r), p) % p
+        a, b = b, r
+    return out * pow(b[0], len(a) - 1, p) % p
+
+
 def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
     """The least g >= 2 of multiplicative order p^k - 1: g^(order/r) != 1
     for every prime r dividing the order.  For k >= 2 the constants are
-    skipped: their order divides p - 1.  The powers run on packed
-    polynomials, coefficient i in bits [w i, w i + w) of one int, with w
-    wide enough that no coefficient of a product overflows into the next."""
+    skipped: their order divides p - 1.  When r divides p - 1, g^(order/r)
+    is N(g)^((p-1)/r), N(g) = g^(order/(p-1)) the norm down to GF(p), so
+    those primes are tested on the norm, a resultant over GF(p); for odd p
+    this rejects the squares, half the candidates, before any power of g
+    is taken.  The other powers run on packed polynomials, coefficient i
+    in bits [w i, w i + w) of one int, with w wide enough that no
+    coefficient of a product overflows into the next."""
     order = p**k - 1
     w = (2 * k * (p - 1) ** 2).bit_length()
     digit, low = (1 << w) - 1, (1 << w * k) - 1
@@ -178,6 +205,7 @@ def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
 
     # x^j mod (mod, p) for j = k .. 2k-2 folds a product's high half down
     folds = [pack(_poly_rem((0,) * j + (1,), mod, p)) for j in range(k, 2 * k - 1)]
+    ones = pack([1] * k)
 
     def mul(a: int, b: int) -> int:
         prod = a * b
@@ -185,6 +213,8 @@ def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
         for fold in folds:
             out += (prod & digit) % p * fold
             prod >>= w
+        if p == 2:  # a coefficient's residue is its low bit
+            return out & ones
         return pack(out >> w * i & digit for i in range(k))
 
     def power(a: int, e: int) -> int:
@@ -197,9 +227,16 @@ def _smallest_primitive(p: int, k: int, mod: Sequence[int]) -> int:
                 a = mul(a, a)
         return out
 
-    cofactors = [order // r for r in _prime_factors(order)]
+    primes = _prime_factors(order)
+    on_norm = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+    cofactors = [order // r for r in primes if (p - 1) % r]
     for g in range(p if k > 1 else 2, p**k):
-        gp = pack(_digits(g, p, k))
+        coeffs = _digits(g, p, k)
+        if on_norm:
+            norm = _norm(mod, coeffs, p)
+            if any(pow(norm, c, p) == 1 for c in on_norm):
+                continue
+        gp = pack(coeffs)
         if all(power(gp, c) != 1 for c in cofactors):
             return g
     raise AssertionError(f"GF({p}^{k}) has no primitive element")  # pragma: no cover

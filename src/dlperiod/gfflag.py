@@ -27,19 +27,22 @@ Three counters are exposed:
 
 * ``dl_point_count`` — complete flags whose relative position against
   their q-power Frobenius image is a prescribed permutation w, the points
-  of the Deligne-Lusztig variety X(w) over GF(Q), Q = q^e.  Each w of S_n
-  is reduced by cyclic shifts x -> s x s that never raise the length
-  (``conjclass.reduce_to_minimal``).  A shift of equal length keeps the
-  count; one that drops the length by two gives #X(x) = Q #X(sxs) +
-  (Q - 1) #X(sx) (Deligne-Lusztig, Ann. of Math. 103 (1976), Thm 1.6).
-  The chain ends at an element of least length in its class
-  (Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
-  Algebras (2000), Thm 3.2.9), in S_n a Coxeter element of the standard
-  Levi whose blocks, of sizes mu, are its minimal stable intervals; it
-  has [n; mu]_q prod_blocks prod_{i=1}^{m-1} (Q - q^i) points, the
+  of the Deligne-Lusztig variety X(w) over GF(Q), Q = q^e.  One pass
+  over S_n in length order (``weyl.enumerate_group``) counts every w:
+  the first member of each cyclic-shift class, the elements reached by
+  shifts x -> s x s of equal length, walks the class once, and #X is
+  constant on it.  A shift in the class that drops the length by two
+  gives the class #X(x) = Q #X(sxs) + (Q - 1) #X(sx) (Deligne-Lusztig,
+  Ann. of Math. 103 (1976), Thm 1.6), both shorter and so counted
+  already.  A class with no such shift has least length (Geck-Pfeiffer,
+  Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras (2000),
+  Thm 3.2.9); in S_n its members are Coxeter elements of the standard
+  Levi whose blocks, of sizes mu, are their minimal stable intervals,
+  with [n; mu]_q prod_blocks prod_{i=1}^{m-1} (Q - q^i) points, the
   rational parabolics of that type times Drinfeld's count on each block.
-  No field arithmetic is done, and the group walk refuses S_n past the
-  default cap (n >= 10);
+  Each element is visited once, O(|W| rank) moves in all.  No field
+  arithmetic is done, and the group walk refuses S_n past the default
+  cap (n >= 10);
 * ``omega_point_count`` — projective points avoiding every hyperplane
   rational over the q-element subfield, used to cross-identify the
   distinguished cell of the first counter: the points with
@@ -61,7 +64,6 @@ from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import DEFAULT_CAP, UsageError, _check_power, _check_size
-from .conjclass import reduce_to_minimal
 from .gffield import (
     Field,
     State,
@@ -74,14 +76,7 @@ from .gffield import (
     rational_scalars,
 )
 from .rootsys import RootSystem, build_root_system
-from .weyl import (
-    WeylElem,
-    compose,
-    coxeter_length,
-    coxeter_standard,
-    enumerate_group,
-    from_word,
-)
+from .weyl import WeylElem, _getters, coxeter_standard, enumerate_group, from_word
 
 __all__ = [
     "Cochar",
@@ -293,32 +288,57 @@ def _cell(n: int, q: int, e: int) -> _Order:
 @lru_cache(maxsize=16)
 def _dl_tally_cached(n: int, q: int, e: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     size = q**e
-    counts: Dict[Tuple[int, ...], int] = {}  # #X(w) by the root permutation of w
-
-    def count(w: WeylElem) -> int:
-        if w.perm in counts:
-            return counts[w.perm]
-        chain = reduce_to_minimal(w)
-        # the terminal is a Coxeter element of the standard Levi whose blocks
-        # are its minimal stable intervals: [n; blocks]_q rational parabolics
-        # of that type, times Drinfeld's count on each block
-        tops = accumulate(_one_line(chain.terminal), max)
-        cuts = [i for i, top in enumerate(tops, 1) if top < i]
-        blocks = [b - a for a, b in zip([0] + cuts, cuts)]
-        found = flag_count(n, cuts[:-1], q) * prod(
-            size - q**i for m in blocks for i in range(1, m)
-        )
-        counts[chain.terminal.perm] = found
-        for step in reversed(chain.steps):  # back from the terminal, by DL 1.6
-            x = step.source
-            if coxeter_length(step.target) < coxeter_length(x):
-                sx = WeylElem(x.rs, compose(x.rs.gen_perms[step.gen], x.perm))
-                found = size * found + (size - 1) * count(sx)
-            counts[x.perm] = found
-        return found
-
-    tally = ((_one_line(w), count(w)) for w in enumerate_group(_symmetric(n)))
-    return tuple(sorted((perm, c) for perm, c in tally if c))
+    rs = _symmetric(n)
+    get = _getters(rs)
+    pos = rs.cox_positive
+    # the move by s = s_g sends x to s x s: the getters of s give x s and
+    # its simple-root images, and the left factor s maps them
+    moves = [
+        (b, s.__getitem__, right, key)
+        for b, s, right, key in zip(rs.base_idx, rs.gen_perms, get.right, get.key)
+    ]
+    counts: Dict[Tuple[int, ...], int] = {}  # #X(w) by the simple-root images of w
+    for w in enumerate_group(rs):  # in length order: shorter elements are counted
+        k = get.simple(w.perm)
+        if k in counts:
+            continue
+        # w's cyclic-shift class, walked by the shifts x -> s x s that keep the
+        # length: #X is constant on it, and a shift that drops the length by
+        # two gives it #X(x) = Q #X(sxs) + (Q - 1) #X(sx) (DL 1976, Thm 1.6)
+        perms, keys, found = [w.perm], {k}, None
+        for x in perms:
+            for b, s, right, key in moves:
+                right_down = not pos[x[b]]  # l(x s) < l(x): x(a_s) < 0
+                left_down = not pos[x.index(b)]  # l(s x) < l(x): x^-1(a_s) < 0
+                if right_down != left_down:  # then l(s x s) = l(x)
+                    k = tuple(map(s, key(x)))
+                    if k not in keys:
+                        keys.add(k)
+                        perms.append(tuple(map(s, right(x))))
+                elif right_down and found is None:  # s x s = x or l(s x s) = l(x) - 2
+                    k = tuple(map(s, key(x)))
+                    if k in counts:  # so shorter: no member of this class has a count
+                        sx = tuple(map(s, get.simple(x)))
+                        found = size * counts[k] + (size - 1) * counts[sx]
+        if found is None:
+            # no shift drops the length, so the class has least length
+            # (Geck-Pfeiffer 2000, Thm 3.2.9): each member is a Coxeter element
+            # of the standard Levi whose blocks are its minimal stable
+            # intervals, with [n; blocks]_q rational parabolics of that type,
+            # times Drinfeld's count on each block
+            tops = accumulate(_one_line(w), max)
+            cuts = [i for i, top in enumerate(tops, 1) if top < i]
+            blocks = [b - a for a, b in zip([0] + cuts, cuts)]
+            found = flag_count(n, cuts[:-1], q) * prod(
+                size - q**i for m in blocks for i in range(1, m)
+            )
+        counts.update(dict.fromkeys(keys, found))
+    # the doubled root e_i - e_j has 2 at i and -2 at j, so the one-line form
+    # reads the heads of the simple-root images, then the last one's tail
+    heads = [r.index(2) for r in rs.doubled]
+    tails = [r.index(-2) for r in rs.doubled]
+    tally = (((*map(heads.__getitem__, k), tails[k[-1]]), c) for k, c in counts.items() if c)
+    return tuple(sorted(tally))
 
 
 def dl_point_tally(n: int, q: int, e: int, cap: int = DEFAULT_CAP) -> Dict[Tuple[int, ...], int]:

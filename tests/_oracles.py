@@ -17,7 +17,11 @@ code that walks flags: `gfflag` counts relative positions by the
 cyclic-shift reduction, semistable flags by the Harder-Narasimhan
 recursion and Omega by a product formula, with no field arithmetic.
 `omega_by_points` tests every projective point against every rational
-hyperplane through the field tables.
+hyperplane through the field tables.  `dl_tally_by_chains` counts the
+points of every X(w) in S_n by one cyclic-shift reduction per element,
+the method `gfflag` used before its length-ordered pass over the group,
+and `smallest_primitive_by_order` is the primitive-element search that
+`gffield` ran before it tested the primes dividing p - 1 on the norm.
 
 `within` runs a call under a time bound, for refusals that must be quick.
 """
@@ -25,21 +29,35 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
+from math import prod
 
 from dlperiod import DEFAULT_CAP, UsageError, _check_power, _check_size
-from dlperiod.gffield import _extender, build_extension, prime_power, rational_scalars
+from dlperiod.conjclass import reduce_to_minimal
+from dlperiod.gffield import (
+    _digits,
+    _extender,
+    _poly_rem,
+    _prime_factors,
+    build_extension,
+    prime_power,
+    rational_scalars,
+)
 from dlperiod.gfflag import (
     _check_cap,
     _check_subspace_cap,
     _echelon_bases,
+    _one_line,
     _perm_from_ranks,
     _rank_frame,
     _single_nu,
+    _symmetric,
     _walk,
     complete_dims,
+    flag_count,
     nu_jump_dims,
 )
+from dlperiod.weyl import WeylElem, compose, coxeter_length, enumerate_group
 
 Q = Fraction
 
@@ -385,3 +403,79 @@ def semistable(nu, flag, q):
         if deg * n > total * du:
             return False
     return True
+
+
+def dl_tally_by_chains(n, q, e):
+    """#X(w) over GF(q^e) for every w in S_n, one cyclic-shift reduction
+    (``reduce_to_minimal``) per element not yet counted, replayed back from
+    its terminal by DL 1976, Thm 1.6; as sorted (one-line form, count)
+    pairs with the zero counts left out.  The terminal, of least length in
+    its class, is a Coxeter element of the standard Levi whose blocks are
+    its minimal stable intervals."""
+    size = q**e
+    counts = {}  # #X(w) by the root permutation of w
+
+    def count(w):
+        if w.perm in counts:
+            return counts[w.perm]
+        chain = reduce_to_minimal(w)
+        tops = accumulate(_one_line(chain.terminal), max)
+        cuts = [i for i, top in enumerate(tops, 1) if top < i]
+        blocks = [b - a for a, b in zip([0] + cuts, cuts)]
+        found = flag_count(n, cuts[:-1], q) * prod(
+            size - q**i for m in blocks for i in range(1, m)
+        )
+        counts[chain.terminal.perm] = found
+        for step in reversed(chain.steps):
+            x = step.source
+            if coxeter_length(step.target) < coxeter_length(x):
+                sx = WeylElem(x.rs, compose(x.rs.gen_perms[step.gen], x.perm))
+                found = size * found + (size - 1) * count(sx)
+            counts[x.perm] = found
+        return found
+
+    tally = ((_one_line(w), count(w)) for w in enumerate_group(_symmetric(n)))
+    return tuple(sorted((perm, c) for perm, c in tally if c))
+
+
+def smallest_primitive_by_order(p, k, mod):
+    """The least g >= 2 of multiplicative order p^k - 1 in GF(p)[x]/(mod):
+    g^(order/r) != 1 for every prime r dividing the order, each tested by
+    a power of g, with no norm.  For k >= 2 the constants are
+    skipped: their order divides p - 1.  The powers run on packed
+    polynomials, coefficient i in bits [w i, w i + w) of one int, with w
+    wide enough that no coefficient of a product overflows into the next."""
+    order = p**k - 1
+    w = (2 * k * (p - 1) ** 2).bit_length()
+    digit, low = (1 << w) - 1, (1 << w * k) - 1
+
+    def pack(coeffs):
+        return sum(c % p << w * i for i, c in enumerate(coeffs))
+
+    # x^j mod (mod, p) for j = k .. 2k-2 folds a product's high half down
+    folds = [pack(_poly_rem((0,) * j + (1,), mod, p)) for j in range(k, 2 * k - 1)]
+
+    def mul(a, b):
+        prod = a * b
+        out, prod = prod & low, prod >> w * k
+        for fold in folds:
+            out += (prod & digit) % p * fold
+            prod >>= w
+        return pack(out >> w * i & digit for i in range(k))
+
+    def power(a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return out
+
+    cofactors = [order // r for r in _prime_factors(order)]
+    for g in range(p if k > 1 else 2, p**k):
+        gp = pack(_digits(g, p, k))
+        if all(power(gp, c) != 1 for c in cofactors):
+            return g
+    raise AssertionError(f"GF({p}^{k}) has no primitive element")

@@ -9,6 +9,7 @@ import pytest
 
 from _oracles import (
     _rational_subspaces,
+    dl_tally_by_chains,
     enumerate_flags,
     flag_from_chain,
     frobenius_flag,
@@ -16,10 +17,19 @@ from _oracles import (
     relative_position,
     rref,
     semistable,
+    smallest_primitive_by_order,
     within,
 )
 from dlperiod import DEFAULT_CAP, CapacityError, UsageError, gffield, gfflag
-from dlperiod.gffield import FIELD_CAP, _VALUES, _digit_sums, _frob_table
+from dlperiod.gffield import (
+    FIELD_CAP,
+    _VALUES,
+    _canonical_modulus,
+    _digit_sums,
+    _frob_table,
+    _is_prime,
+    _smallest_primitive,
+)
 from dlperiod.gfflag import (
     Cochar,
     Field,
@@ -711,6 +721,18 @@ def test_tally_cache_ignores_the_cap():
     assert _dl_tally_cached.cache_info().misses == misses
 
 
+def test_primitive_search_matches_the_order_search():
+    # every field with k >= 2 that the field cap admits, 93 of them
+    cases = [
+        (p, k) for p in range(2, 256) if _is_prime(p)
+        for k in range(2, 17) if p**k <= FIELD_CAP
+    ]
+    assert len(cases) == 93
+    for p, k in cases:
+        mod = _canonical_modulus(p, k)
+        assert _smallest_primitive(p, k, mod) == smallest_primitive_by_order(p, k, mod), (p, k)
+
+
 def test_field_primitive_elements_pinned():
     # exp[1] is the smallest primitive element; every table hangs off it
     pinned = {(2, 12): 3, (3, 5): 3, (3, 8): 38, (5, 5): 10, (7, 4): 12}
@@ -919,6 +941,30 @@ def test_tally_matches_flagwise_relative_position(n, q, e):
         for fl in enumerate_flags(fld, n, complete_dims(n))
     )
     assert dl_point_tally(n, q, e) == dict(brute)
+
+
+@pytest.mark.parametrize(
+    "n,q,e",
+    [(n, q, e) for n in (2, 3, 4, 5) for q, e in ((2, 1), (2, 3), (3, 2), (4, 1))]
+    + [(6, 3, 2)],
+)
+def test_tally_pass_matches_the_chain_replay(n, q, e):
+    # the replay runs one reduction per element; past n = 6 it is too slow
+    assert _dl_tally_cached(n, q, e) == dl_tally_by_chains(n, q, e)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_coxeter_count_is_omega_and_the_drinfeld_period_domain_to_s8(n):
+    # e = n, so that Omega over GF(2^e) is not empty; one tally per n serves
+    # the Coxeter count through the cache, and every w has points
+    q, e, cap = 2, n, 10**80
+    tally = within(30, lambda: dl_point_tally(n, q, e, cap=cap))
+    assert len(tally) == factorial(n)
+    assert sum(tally.values()) == flag_count(n, complete_dims(n), q**e)
+    count = dl_point_count(n, q, e, coxeter_perm(n), cap=cap)
+    assert count == tally[coxeter_perm(n)] > 0
+    assert count == omega_point_count(n, q, e, cap=cap)
+    assert count == period_point_count((1,) + (0,) * (n - 1), q, e, cap=cap)
 
 
 def _rational_subspace_rows(fld, n, q):
